@@ -1,0 +1,59 @@
+(* The one writer of BENCH_*.json records.  A record is a JSON object of
+   named sections; several programs each own some sections of the same
+   file, so a write replaces its own sections and keeps everyone else's. *)
+
+(* [array row xs] is the JSON text of a section holding one [row] per
+   element. *)
+let array row xs = "[" ^ String.concat ", " (List.map row xs) ^ "]"
+
+let read file =
+  if not (Sys.file_exists file) then []
+  else
+    let text = In_channel.with_open_bin file In_channel.input_all in
+    match Obs.Json.parse text with
+    | Ok (Obs.Json.Obj fields) -> fields
+    | Ok _ -> failwith (file ^ ": not a JSON object")
+    | Error e -> failwith (Printf.sprintf "%s: %s" file e)
+
+(* A section of rows prints one row per line, so records diff by row. *)
+let section_text = function
+  | Obs.Json.Arr (_ :: _ as rows) ->
+      "[\n    "
+      ^ String.concat ",\n    " (List.map Obs.Json.to_string rows)
+      ^ "\n  ]"
+  | v -> Obs.Json.to_string v
+
+(* [update file sections] rewrites [file] with each [(key, json_text)]
+   section in place of the existing section of that key (later duplicates
+   of it are dropped); new keys go at the end, other sections keep their
+   order and content.  A missing file starts an empty object.  Raises
+   [Failure] without touching [file] when it does not hold a JSON object,
+   and [Invalid_argument] when a section is not valid JSON. *)
+let update file sections =
+  let sections =
+    List.map
+      (fun (k, text) ->
+        match Obs.Json.parse text with
+        | Ok v -> (k, v)
+        | Error e -> invalid_arg (Printf.sprintf "section %s: %s" k e))
+      sections
+  in
+  let old = read file in
+  let rec merge = function
+    | [] -> List.filter (fun (k, _) -> not (List.mem_assoc k old)) sections
+    | (k, v) :: rest -> (
+        match List.assoc_opt k sections with
+        | None -> (k, v) :: merge rest
+        | Some v' ->
+            (k, v') :: merge (List.filter (fun (k', _) -> k' <> k) rest))
+  in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc "{\n";
+      output_string oc
+        (String.concat ",\n"
+           (List.map
+              (fun (k, v) ->
+                Printf.sprintf "  \"%s\": %s" (Obs.Json.escape k)
+                  (section_text v))
+              (merge old)));
+      output_string oc "\n}\n")

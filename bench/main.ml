@@ -4,14 +4,14 @@
      dune exec bench/main.exe              -- all sections
      dune exec bench/main.exe -- table2    -- a single section
      dune exec bench/main.exe -- --json F  -- Table 2 + scheduler scaling +
-                                              obs profiles as JSON
+                                              obs profiles as sections of
+                                              the JSON record F
      dune exec bench/main.exe -- --sched-smoke F -- budgeted scaling rows
                                               with a 2x regression gate (CI)
      dune exec bench/main.exe -- --parallel-smoke F -- budgeted domains 1/2/4
                                               sweep, speedup gate on multi-core
      sections: table1 table2 table3 table4 figure5 obs perverted ablation
-               scaling sched timers sanitize parallel ada shared blockingio
-               wall *)
+               scaling sched timers sanitize parallel ada shared blockingio *)
 
 open Pthreads
 module Sigset = Vm.Sigset
@@ -1194,100 +1194,61 @@ let par_row_json r =
 (* JSON output: Table 2 metrics + scheduler scaling                     *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_opt_f = function
   | Some v -> Printf.sprintf "%.1f" v
   | None -> "null"
 
+let table2_row_json (r : Metrics.row) =
+  Printf.sprintf
+    "{\"metric\": \"%s\", \"published_sun_1plus_us\": %s, \
+     \"published_1plus_us\": %s, \"published_ipx_us\": %s, \
+     \"published_lynx_ipx_us\": %s, \"measured_sparc_1plus_us\": %.3f, \
+     \"measured_sparc_ipx_us\": %.3f}"
+    (Obs.Json.escape r.metric) (json_opt_f r.sun_1plus)
+    (json_opt_f r.paper_1plus) (json_opt_f r.paper_ipx)
+    (json_opt_f r.lynx_ipx)
+    (r.measure Cost_model.sparc_1plus)
+    (r.measure Cost_model.sparc_ipx)
+
+let sched_row_json r =
+  Printf.sprintf
+    "{\"threads\": %d, \"ns_per_dispatch\": %.1f, \"dispatches\": %d, \
+     \"bytes_per_thread\": %d, \"host_bytes_per_thread\": %d, \
+     \"timers_armed_peak\": %d}"
+    r.sr_threads r.sr_ns_per_dispatch r.sr_dispatches r.sr_bytes_per_thread
+    r.sr_host_bytes_per_thread r.sr_timers_peak
+
+let timer_row_json r =
+  Printf.sprintf
+    "{\"timers\": %d, \"ns_per_op\": %.1f, \"fired\": %d, \"delivered\": %d, \
+     \"peak_armed\": %d, \"cascades\": %d}"
+    r.tr_timers r.tr_ns_per_op r.tr_fired r.tr_delivered r.tr_peak_armed
+    r.tr_cascades
+
+let san_row_json r =
+  Printf.sprintf
+    "{\"threads\": %d, \"ns_per_dispatch_off\": %.1f, \
+     \"ns_per_dispatch_on\": %.1f, \"overhead\": %.2f}"
+    r.xr_threads r.xr_ns_off r.xr_ns_on r.xr_overhead
+
 let write_json file =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"table2\": [\n";
-  let n_rows = List.length Metrics.rows in
-  List.iteri
-    (fun i (r : Metrics.row) ->
-      let meas_1plus = r.measure Cost_model.sparc_1plus in
-      let meas_ipx = r.measure Cost_model.sparc_ipx in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"metric\": \"%s\", \"published_sun_1plus_us\": %s, \
-            \"published_1plus_us\": %s, \"published_ipx_us\": %s, \
-            \"published_lynx_ipx_us\": %s, \"measured_sparc_1plus_us\": %.3f, \
-            \"measured_sparc_ipx_us\": %.3f}%s\n"
-           (json_escape r.metric) (json_opt_f r.sun_1plus)
-           (json_opt_f r.paper_1plus) (json_opt_f r.paper_ipx)
-           (json_opt_f r.lynx_ipx) meas_1plus meas_ipx
-           (if i = n_rows - 1 then "" else ",")))
-    Metrics.rows;
-  Buffer.add_string buf "  ],\n  \"sched_scaling\": [\n";
-  let n_counts = List.length sched_thread_counts in
-  List.iteri
-    (fun i n ->
-      let r = sched_latency n in
-      pp_sched_row r;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"threads\": %d, \"ns_per_dispatch\": %.1f, \"dispatches\": \
-            %d, \"bytes_per_thread\": %d, \"host_bytes_per_thread\": %d, \
-            \"timers_armed_peak\": %d}%s\n"
-           r.sr_threads r.sr_ns_per_dispatch r.sr_dispatches
-           r.sr_bytes_per_thread r.sr_host_bytes_per_thread r.sr_timers_peak
-           (if i = n_counts - 1 then "" else ",")))
-    sched_thread_counts;
-  Buffer.add_string buf "  ],\n  \"timers_scaling\": [\n";
-  let n_tcounts = List.length timer_counts in
-  List.iteri
-    (fun i n ->
-      let r = timer_latency n in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"timers\": %d, \"ns_per_op\": %.1f, \"fired\": %d, \
-            \"delivered\": %d, \"peak_armed\": %d, \"cascades\": %d}%s\n"
-           r.tr_timers r.tr_ns_per_op r.tr_fired r.tr_delivered
-           r.tr_peak_armed r.tr_cascades
-           (if i = n_tcounts - 1 then "" else ",")))
-    timer_counts;
-  Buffer.add_string buf "  ],\n  \"sanitize\": [\n";
-  let n_scounts = List.length san_thread_counts in
-  List.iteri
-    (fun i n ->
-      let r = san_overhead n in
-      pp_san_row r;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"threads\": %d, \"ns_per_dispatch_off\": %.1f, \
-            \"ns_per_dispatch_on\": %.1f, \"overhead\": %.2f}%s\n"
-           r.xr_threads r.xr_ns_off r.xr_ns_on r.xr_overhead
-           (if i = n_scounts - 1 then "" else ",")))
-    san_thread_counts;
-  Buffer.add_string buf "  ],\n  \"parallel_scaling\": [\n";
+  let table2 = Bench_record.array table2_row_json Metrics.rows in
+  let sched = List.map sched_latency sched_thread_counts in
+  List.iter pp_sched_row sched;
+  let timers = List.map timer_latency timer_counts in
+  let san = List.map san_overhead san_thread_counts in
+  List.iter pp_san_row san;
   let prows = parallel_rows () in
   List.iter pp_par_row prows;
-  let n_prows = List.length prows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf "    %s%s\n" (par_row_json r)
-           (if i = n_prows - 1 then "" else ",")))
-    prows;
-  Buffer.add_string buf "  ],\n  \"obs\": ";
-  Buffer.add_string buf (obs_json ());
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  Bench_record.update file
+    [
+      ("table2", table2);
+      ("sched_scaling", Bench_record.array sched_row_json sched);
+      ("timers_scaling", Bench_record.array timer_row_json timers);
+      ("sanitize", Bench_record.array san_row_json san);
+      ("parallel_scaling", Bench_record.array par_row_json prows);
+      ("obs", obs_json ());
+    ];
   Printf.printf "wrote %s\n%!" file
 
 (* ------------------------------------------------------------------ *)
@@ -1300,27 +1261,10 @@ let write_json file =
    acceptance bound, immune to absolute runner speed. *)
 let sched_smoke file =
   sep "Scheduler scaling smoke (CI gate: 10^5 <= 2x 10^3 ns/dispatch)";
-  let counts = [ 1_000; 10_000; 100_000 ] in
-  let rows = List.map (fun n -> sched_latency n) counts in
+  let rows = List.map sched_latency [ 1_000; 10_000; 100_000 ] in
   List.iter pp_sched_row rows;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"sched_scaling\": [\n";
-  let n_rows = List.length rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"threads\": %d, \"ns_per_dispatch\": %.1f, \"dispatches\": \
-            %d, \"bytes_per_thread\": %d, \"host_bytes_per_thread\": %d, \
-            \"timers_armed_peak\": %d}%s\n"
-           r.sr_threads r.sr_ns_per_dispatch r.sr_dispatches
-           r.sr_bytes_per_thread r.sr_host_bytes_per_thread r.sr_timers_peak
-           (if i = n_rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  Bench_record.update file
+    [ ("sched_scaling", Bench_record.array sched_row_json rows) ];
   Printf.printf "wrote %s\n%!" file;
   let per n =
     (List.find (fun r -> r.sr_threads = n) rows).sr_ns_per_dispatch
@@ -1345,22 +1289,11 @@ let parallel_smoke file =
   sep "Parallel scaling smoke (CI gate: domains=4 >= domains=1 on multi-core)";
   let rows = parallel_rows ~tasks:32 ~spins:200_000 () in
   List.iter pp_par_row rows;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"parallel_scaling\": [\n";
-  let n_rows = List.length rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf "    %s%s\n" (par_row_json r)
-           (if i = n_rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  Bench_record.update file
+    [ ("parallel_scaling", Bench_record.array par_row_json rows) ];
   Printf.printf "wrote %s\n%!" file;
   let cores = (List.hd rows).pr_cores in
-  let last = List.nth rows (n_rows - 1) in
+  let last = List.nth rows (List.length rows - 1) in
   if cores < 2 then
     Printf.printf
       "SKIP: single-core host (%d core) — shards time-slice one core, \
@@ -1376,160 +1309,6 @@ let parallel_smoke file =
   else
     Printf.printf "OK: %.2fx speedup at domains=%d on %d cores\n"
       last.pr_speedup last.pr_domains cores
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel: wall-clock cost of the implementation itself               *)
-(* ------------------------------------------------------------------ *)
-
-let wall () =
-  sep "Bechamel: wall-clock time of the OCaml implementation (host machine)";
-  let open Bechamel in
-  let open Toolkit in
-  let runner body = Staged.stage (fun () -> ignore (Pthread.run body)) in
-  let tests =
-    [
-      Test.make ~name:"table2/kernel-enter-exit"
-        (runner (fun proc ->
-             for _ = 1 to 100 do
-               Engine.enter_kernel proc;
-               Engine.leave_kernel proc
-             done;
-             0));
-      Test.make ~name:"table2/mutex-uncontended"
-        (runner (fun proc ->
-             let m = Mutex.create proc () in
-             for _ = 1 to 100 do
-               Mutex.lock proc m;
-               Mutex.unlock proc m
-             done;
-             0));
-      Test.make ~name:"table2/mutex-contended"
-        (runner (fun proc ->
-             let m = Mutex.create proc () in
-             Mutex.lock proc m;
-             let t =
-               Pthread.create_unit proc
-                 ~attr:(Attr.with_prio 20 Attr.default)
-                 (fun () ->
-                   Mutex.lock proc m;
-                   Mutex.unlock proc m)
-             in
-             Mutex.unlock proc m;
-             ignore (Pthread.join proc t);
-             0));
-      Test.make ~name:"table2/semaphore-sync"
-        (runner (fun proc ->
-             let ping = Psem.Semaphore.create proc 0 in
-             let pong = Psem.Semaphore.create proc 0 in
-             let t =
-               Pthread.create_unit proc (fun () ->
-                   for _ = 1 to 10 do
-                     Psem.Semaphore.wait proc ping;
-                     Psem.Semaphore.post proc pong
-                   done)
-             in
-             for _ = 1 to 10 do
-               Psem.Semaphore.post proc ping;
-               Psem.Semaphore.wait proc pong
-             done;
-             ignore (Pthread.join proc t);
-             0));
-      Test.make ~name:"table2/thread-create"
-        (runner (fun proc ->
-             let attr = Attr.with_prio 1 Attr.default in
-             let ts =
-               List.init 8 (fun _ -> Pthread.create proc ~attr (fun () -> 0))
-             in
-             List.iter (fun t -> ignore (Pthread.join proc t)) ts;
-             0));
-      Test.make ~name:"table2/setjmp-longjmp"
-        (runner (fun proc ->
-             for _ = 1 to 100 do
-               match Jmp.catch proc (fun buf -> Jmp.longjmp proc buf 1) with
-               | Jmp.Jumped _ -> ()
-               | Jmp.Returned _ -> assert false
-             done;
-             0));
-      Test.make ~name:"table2/yield-switch"
-        (runner (fun proc ->
-             let t =
-               Pthread.create_unit proc (fun () ->
-                   for _ = 1 to 50 do
-                     Pthread.yield proc
-                   done)
-             in
-             for _ = 1 to 50 do
-               Pthread.yield proc
-             done;
-             ignore (Pthread.join proc t);
-             0));
-      Test.make ~name:"table2/signal-internal"
-        (runner (fun proc ->
-             Signal_api.set_action proc Sigset.sigusr1
-               (Types.Sig_handler
-                  { h_mask = Sigset.empty; h_fn = (fun ~signo:_ ~code:_ -> ()) });
-             let t =
-               Pthread.create_unit proc
-                 ~attr:(Attr.with_prio 20 Attr.default)
-                 (fun () -> Pthread.delay proc ~ns:10_000_000)
-             in
-             for _ = 1 to 10 do
-               Signal_api.kill proc t Sigset.sigusr1
-             done;
-             Cancel.cancel proc t;
-             ignore (Pthread.join proc t);
-             0));
-      Test.make ~name:"table2/signal-external"
-        (runner (fun proc ->
-             Signal_api.set_action proc Sigset.sigusr1
-               (Types.Sig_handler
-                  { h_mask = Sigset.empty; h_fn = (fun ~signo:_ ~code:_ -> ()) });
-             for _ = 1 to 10 do
-               Signal_api.send_to_process proc Sigset.sigusr1;
-               Pthread.checkpoint proc
-             done;
-             0));
-      Test.make ~name:"figure5/inversion-scenario"
-        (runner (fun proc ->
-             let m = Mutex.create proc ~protocol:Types.Inherit_protocol () in
-             let p1 =
-               Pthread.create_unit proc
-                 ~attr:(Attr.with_prio 5 Attr.default)
-                 (fun () ->
-                   Mutex.lock proc m;
-                   Pthread.busy proc ~ns:100_000;
-                   Mutex.unlock proc m)
-             in
-             Pthread.delay proc ~ns:20_000;
-             let p3 =
-               Pthread.create_unit proc
-                 ~attr:(Attr.with_prio 20 Attr.default)
-                 (fun () ->
-                   Mutex.lock proc m;
-                   Mutex.unlock proc m)
-             in
-             List.iter (fun t -> ignore (Pthread.join proc t)) [ p1; p3 ];
-             0));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let tbl = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns ] -> Printf.printf "%-34s %12.1f ns/run\n" name ns
-          | Some _ | None -> Printf.printf "%-34s (no estimate)\n" name)
-        tbl)
-    tests
 
 (* ------------------------------------------------------------------ *)
 
@@ -1576,5 +1355,4 @@ let () =
   if want "parallel" then parallel_section ();
   if want "ada" then ada ();
   if want "shared" then shared ();
-  if want "blockingio" then blockingio ();
-  if want "wall" then wall ()
+  if want "blockingio" then blockingio ()

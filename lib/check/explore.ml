@@ -258,7 +258,7 @@ let force ?(config = default_config) ~strict mk (sched : Schedule.t) =
    failing predicate so samplers (and tests) can reuse them. *)
 
 module Shrink = struct
-  let prefix_search ~fails (full : int array) =
+  let prefix_search ~fails full =
     if Array.length full = 0 then full
     else begin
       let sub l = Array.sub full 0 l in
@@ -272,7 +272,7 @@ module Shrink = struct
       if fails (sub !lo) then sub !lo else full
     end
 
-  let splice_pass ~fails (a : int array) =
+  let splice_pass ~fails a =
     let cur = ref a in
     let i = ref (Array.length a - 1) in
     while !i >= 0 do

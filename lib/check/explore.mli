@@ -139,19 +139,21 @@ val force :
 
 (** Pure shrinking passes over an abstract failing predicate.  [fails]
     must be deterministic; it is typically [force ~strict:true] composed
-    with an outcome check. *)
+    with an outcome check.  The passes never look at the elements, so
+    the same shrinker minimizes schedules here and fault plans in
+    [Fault.Soak]. *)
 module Shrink : sig
-  val prefix_search : fails:(int array -> bool) -> int array -> int array
+  val prefix_search : fails:('a array -> bool) -> 'a array -> 'a array
   (** Shortest failing prefix by binary search.  Failure depth need not be
       monotone in prefix length, so the answer is verified and the full
       list returned when verification fails.  Requires [fails full]. *)
 
-  val splice : fails:(int array -> bool) -> int array -> int array
+  val splice : fails:('a array -> bool) -> 'a array -> 'a array
   (** Greedy single-element removal to a fixpoint: the result still
       satisfies [fails] and is 1-minimal (no single further removal
       does). *)
 
-  val minimize : fails:(int array -> bool) -> int array -> int array
+  val minimize : fails:('a array -> bool) -> 'a array -> 'a array
   (** [splice] after [prefix_search]. *)
 end
 

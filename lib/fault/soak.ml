@@ -97,38 +97,17 @@ let run_one ?check_invariants ?sanitize ~mk (plan : Plan.t) =
 
 let shrink ?(check_invariants = true) ?sanitize ~mk (plan0 : Plan.t) =
   let fails p =
-    match run_one ~check_invariants ?sanitize ~mk p with
+    match run_one ~check_invariants ?sanitize ~mk (Array.to_list p) with
     | Some _, _, _ -> true
     | None, _, _ -> false
   in
-  (* shortest failing prefix, by binary search *)
-  let arr = Array.of_list plan0 in
-  let prefix k = Array.to_list (Array.sub arr 0 k) in
-  let lo = ref 1 and hi = ref (Array.length arr) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if fails (prefix mid) then hi := mid else lo := mid + 1
-  done;
-  let cur = ref (prefix !lo) in
-  (* greedy single-injection drops until nothing more can go *)
-  let again = ref true in
-  while !again do
-    again := false;
-    let n = List.length !cur in
-    let i = ref 0 in
-    while (not !again) && !i < n do
-      let candidate = List.filteri (fun j _ -> j <> !i) !cur in
-      if fails candidate then begin
-        cur := candidate;
-        again := true
-      end
-      else incr i
-    done
-  done;
-  match run_one ~check_invariants ?sanitize ~mk !cur with
-  | Some kind, _, _ -> (!cur, kind)
+  let shrunk =
+    Array.to_list (E.Shrink.minimize ~fails (Array.of_list plan0))
+  in
+  match run_one ~check_invariants ?sanitize ~mk shrunk with
+  | Some kind, _, _ -> (shrunk, kind)
   | None, _, _ ->
-      (* cannot happen: [cur] failed on its last [fails] check and runs
+      (* cannot happen: [shrunk] failed on its last [fails] check and runs
          are deterministic *)
       assert false
 

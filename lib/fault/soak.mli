@@ -3,10 +3,10 @@
     For each scenario: one clean calibration run counts the fault points
     and checks the program is sound unperturbed; then one run per seed
     under a {!Plan.random} plan, with [Check.Invariant] asserted at every
-    fault point.  A failing plan is shrunk — binary search on the shortest
-    failing prefix, then greedy single-injection drops, the same recipe
-    [Check.Explore] uses on schedules — to a minimal [.fault]
-    counterexample that {!run_one} re-executes deterministically. *)
+    fault point.  A failing plan is shrunk by [Check.Explore.Shrink] —
+    the shrinker [Check.Explore] uses on schedules — to a minimal
+    [.fault] counterexample that {!run_one} re-executes
+    deterministically. *)
 
 type config = {
   seeds : int list;  (** one perturbed run per seed per scenario *)

@@ -182,3 +182,27 @@ let escape s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
+
+(* Shortest of %.15g/%.17g that reads back to the same float, so a value
+   written with fixed precision (e.g. "%.1f") survives a parse/print round
+   trip unchanged; JSON has no NaN or infinity. *)
+let number f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let rec to_string = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Num f -> number f
+  | Str s -> "\"" ^ escape s ^ "\""
+  | Arr vs -> "[" ^ String.concat ", " (List.map to_string vs) ^ "]"
+  | Obj fields ->
+      "{"
+      ^ String.concat ", "
+          (List.map
+             (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ to_string v)
+             fields)
+      ^ "}"

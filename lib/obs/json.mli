@@ -1,6 +1,7 @@
-(** A minimal JSON reader, just enough to validate the library's own
-    exports (no dependency added for it).  Numbers are [float]s; strings
-    must be valid JSON strings ([\uXXXX] escapes are decoded to UTF-8). *)
+(** A minimal JSON reader and printer, just enough to validate the
+    library's own exports and rewrite bench records (no dependency added
+    for it).  Numbers are [float]s; strings must be valid JSON strings
+    ([\uXXXX] escapes are decoded to UTF-8). *)
 
 type t =
   | Null
@@ -19,3 +20,8 @@ val member : string -> t -> t option
 
 val escape : string -> string
 (** Escape a string for embedding in a JSON document (no quotes added). *)
+
+val to_string : t -> string
+(** One-line rendering ([", "] and [": "] separators).  Numbers print in
+    the shortest form that parses back to the same float; non-finite
+    numbers print as [null]. *)

@@ -168,20 +168,22 @@ let fail_pool pool e =
 let inbox_reason = "shard:inbox"
 let await_reason = "shard:await"
 
-(* Unpark the service thread (tid 0) if it is parked on its inbox.
-   Called from the pump/wait seams of the shard's own domain — the same
-   context the signal-delivery path unblocks sigwaiters from. *)
+(* Unpark the service thread (tid 0) if it is parked on its inbox, and
+   say whether it was.  Called from the pump/wait seams of the shard's own
+   domain — the same context the signal-delivery path unblocks sigwaiters
+   from. *)
 let unpark_service shard =
   match shard.s_engine with
-  | None -> ()
+  | None -> false
   | Some eng -> (
       match Engine.find_thread eng 0 with
       | Some t -> (
           match t.state with
           | Blocked (On_shared r) when String.equal r inbox_reason ->
-              Engine.unblock eng t Wake_normal
-          | _ -> ())
-      | None -> ())
+              Engine.unblock eng t Wake_normal;
+              true
+          | _ -> false)
+      | None -> false)
 
 (* Wake a thread of [proc]'s own engine parked in [await].  Caller is a
    green thread outside the kernel. *)
@@ -267,18 +269,17 @@ let task_done pool =
     broadcast_stop pool
   end
 
-(* Turn a task into an ordinary green thread on [proc]'s engine. *)
-let start_task pool shard proc task =
-  task.t_home <- shard.s_index;
-  Atomic.incr shard.s_tasks;
+(* Run [f] as an ordinary green thread on [proc]'s engine, fulfil [h]
+   with its outcome, then run [on_done]. *)
+let create_task attr proc h f ~on_done =
   let body () =
     let status =
-      try Exited (task.t_run proc) with
+      try Exited (f proc) with
       | Thread_exit_exn st -> st
       | e -> Failed e
     in
-    fulfill proc task.t_handle status;
-    task_done pool;
+    fulfill proc h status;
+    on_done ();
     (* hand the non-normal outcomes back to the thread machinery so the
        TCB records them exactly as for a plain thread *)
     match status with
@@ -286,7 +287,13 @@ let start_task pool shard proc task =
     | Canceled -> raise (Thread_exit_exn Canceled)
     | Failed e -> raise e
   in
-  ignore (Pthread.create proc ?attr:task.t_attr body : int)
+  ignore (Pthread.create proc ?attr body : int)
+
+let start_task pool shard proc task =
+  task.t_home <- shard.s_index;
+  Atomic.incr shard.s_tasks;
+  create_task task.t_attr proc task.t_handle task.t_run
+    ~on_done:(fun () -> task_done pool)
 
 let spawn ?attr ?home proc f =
   let h = make_handle () in
@@ -295,19 +302,7 @@ let spawn ?attr ?home proc f =
       (* single-domain mode: degenerate to a local thread so programs
          written against [spawn]/[await] also run under [Pthreads.run]
          without [~domains] (and under the checker, which requires it) *)
-      let body () =
-        let status =
-          try Exited (f proc) with
-          | Thread_exit_exn st -> st
-          | e -> Failed e
-        in
-        fulfill proc h status;
-        match status with
-        | Exited c -> c
-        | Canceled -> raise (Thread_exit_exn Canceled)
-        | Failed e -> raise e
-      in
-      ignore (Pthread.create proc ?attr body : int)
+      create_task attr proc h f ~on_done:ignore
   | Some (_, pool) ->
       if Atomic.get pool.p_finished then
         invalid_arg "Shard.spawn: the pool has already drained";
@@ -441,19 +436,21 @@ let wrap_backend pool shard (inner : Backend.t) =
   let pump () =
     inner.Backend.pump ();
     if Atomic.get shard.s_msgs > 0 || Atomic.get pool.p_finished then
-      unpark_service shard
+      ignore (unpark_service shard : bool)
   in
   let wait ~deadline_ns =
     if Atomic.get shard.s_msgs > 0 then begin
-      unpark_service shard;
+      ignore (unpark_service shard : bool);
       true
     end
     else if Atomic.get pool.p_finished then
-      (* the pool has drained: only local stragglers remain, so the
-         backend's own semantics (including the vm deadlock proof) apply *)
-      inner.Backend.wait ~deadline_ns
+      (* the pool has drained: a service thread still parked because the
+         [Stop] is not pushed yet can exit now; once it has, only local
+         stragglers remain, so the backend's own semantics (including the
+         vm deadlock proof) apply *)
+      unpark_service shard || inner.Backend.wait ~deadline_ns
     else if stealable pool shard then begin
-      unpark_service shard;
+      ignore (unpark_service shard : bool);
       true
     end
     else begin

@@ -306,6 +306,26 @@ let test_task_failure_propagates () =
   in
   check exit_status "root exit" (Types.Exited 0) o.Shard.status
 
+(* The last task's completion marks the pool finished before the [Stop]
+   messages are pushed; a shard going idle in that window must let its
+   parked service thread exit instead of proving a deadlock.  The window
+   is narrow, so the test needs many short pools to hit it. *)
+let test_pool_shutdown_no_deadlock () =
+  let stopped = ref 0 in
+  for _ = 1 to 1000 do
+    match
+      Shard.run_parallel ~domains:2 (fun proc ->
+          let hs =
+            List.init 4 (fun i -> Shard.spawn proc ~home:(i mod 2) (fun _ -> i))
+          in
+          List.iter (fun h -> ignore (Shard.await proc h : Types.exit_status)) hs;
+          0)
+    with
+    | _ -> ()
+    | exception Types.Process_stopped _ -> incr stopped
+  done;
+  check int "pools stopped after the root returned" 0 !stopped
+
 (* -------------------------------------------------------------- *)
 (* post_all: a process-level signal reaches every shard            *)
 (* -------------------------------------------------------------- *)
@@ -382,6 +402,7 @@ let suite =
         tc "stress catalogue, 4 shards" test_stress_4;
         tc "homes and cross-shard await" test_homes_and_cross_shard_await;
         tc "task failure propagates" test_task_failure_propagates;
+        tc "pool shutdown never deadlocks" test_pool_shutdown_no_deadlock;
         tc "post_all reaches every shard" test_post_all_reaches_every_shard;
       ] );
   ]
