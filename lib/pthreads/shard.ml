@@ -23,6 +23,11 @@ open Types
    deadlock while the pool is live — more work can always arrive from
    another shard.
 
+   Task threads are detached whatever their [attr] says: nobody joins
+   them, as the outcome travels through the [handle].  They are reaped at
+   exit and their tids reused; a stale [Wake] for a reused tid is only a
+   spurious wake, which [await] absorbs by re-checking its handle.
+
    Work migrates only by stealing, and only work that has not started:
    an idle shard with no ready threads takes up to half of the [Spawn]
    messages queued at a busy shard.  A spawned closure is inert until
@@ -269,7 +274,7 @@ let task_done pool =
     broadcast_stop pool
   end
 
-(* Run [f] as an ordinary green thread on [proc]'s engine, fulfil [h]
+(* Run [f] as a detached green thread on [proc]'s engine, fulfil [h]
    with its outcome, then run [on_done]. *)
 let create_task attr proc h f ~on_done =
   let body () =
@@ -287,7 +292,8 @@ let create_task attr proc h f ~on_done =
     | Canceled -> raise (Thread_exit_exn Canceled)
     | Failed e -> raise e
   in
-  ignore (Pthread.create proc ?attr body : int)
+  let attr = Attr.with_detached true (Option.value attr ~default:Attr.default) in
+  ignore (Pthread.create proc ~attr body : int)
 
 let start_task pool shard proc task =
   task.t_home <- shard.s_index;
@@ -378,15 +384,6 @@ let try_steal pool thief =
 (* The service loop                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Steal only when this shard is otherwise idle: if another local thread
-   is ready, run it rather than import more work. *)
-let others_ready proc =
-  let self = Engine.current proc in
-  Engine.fold_threads proc
-    (fun acc t ->
-      acc || ((not (t == self)) && match t.state with Ready -> true | _ -> false))
-    false
-
 let handle_msg pool shard proc = function
   | Spawn task -> start_task pool shard proc task
   | Wake tid -> wake_local proc tid
@@ -415,7 +412,9 @@ let rec service pool shard proc =
   | [] ->
       if Atomic.get pool.p_finished then ()
       else begin
-        (match if others_ready proc then [] else try_steal pool shard with
+        (* steal only when otherwise idle: ready local threads run first
+           (the running service thread is never in the ready queue) *)
+        (match if Ready_queue.size proc > 0 then [] else try_steal pool shard with
         | [] -> park pool proc shard
         | stolen -> List.iter (start_task pool shard proc) stolen);
         service pool shard proc

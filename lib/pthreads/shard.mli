@@ -63,7 +63,14 @@ val spawn :
     pool size).  The task body receives the engine of whichever shard
     runs it.  In single-domain mode ([Pthreads.run] without [~domains])
     this degenerates to a local thread, so the same program runs under
-    the model checker. *)
+    the model checker.
+
+    The task thread is always detached — [attr]'s detach state is
+    ignored — because its outcome travels through the handle and nobody
+    joins it: its TCB and stack are reaped at exit and its tid is
+    reused.  A [Wake] still in flight for a reused tid can wake a later
+    thread in {!await} spuriously; [await] re-checks its handle and parks
+    again. *)
 
 val await : Types.engine -> handle -> Types.exit_status
 (** Block the calling thread until the task completes.  Safe from any

@@ -327,6 +327,93 @@ let test_pool_shutdown_no_deadlock () =
   check int "pools stopped after the root returned" 0 !stopped
 
 (* -------------------------------------------------------------- *)
+(* Task threads are detached: reaped at exit, outcomes kept        *)
+(* -------------------------------------------------------------- *)
+
+(* Nobody joins a task thread, so a finished task must not linger in its
+   shard's thread table.  After thousands of tasks homed on both shards,
+   the root reads its own shard's table and a probe task reads the other
+   one's.  Each should hold only the service thread, the reader and a
+   few tasks that fulfilled their handle but have not exited yet.  The
+   root yields until the probe is done rather than awaiting it: its
+   shard never goes idle, so it cannot steal the probe. *)
+let test_pool_reaps_finished_tasks () =
+  let counts = Array.make 2 (-1) in
+  let o =
+    Shard.run_parallel ~domains:2 (fun proc ->
+        for _ = 1 to 10 do
+          let hs =
+            List.init 400 (fun i -> Shard.spawn proc ~home:(i mod 2) (fun _ -> i))
+          in
+          List.iter (fun h -> ignore (Shard.await proc h : Types.exit_status)) hs
+        done;
+        let mine = Shard.shard_index proc in
+        counts.(mine) <- Engine.thread_count proc;
+        let probe =
+          Shard.spawn proc ~home:(1 - mine) (fun proc' ->
+              counts.(Shard.shard_index proc') <- Engine.thread_count proc';
+              0)
+        in
+        while Shard.poll probe = None do
+          Pthread.yield proc
+        done;
+        0)
+  in
+  check exit_status "root exit" (Types.Exited 0) o.Shard.status;
+  Array.iteri
+    (fun i n ->
+      if n < 0 then Alcotest.failf "nothing read shard %d" i;
+      if n > 16 then Alcotest.failf "shard %d holds %d threads" i n)
+    counts
+
+let test_single_domain_reaps_finished_tasks () =
+  ignore
+    (run_main (fun proc ->
+         for i = 1 to 1000 do
+           ignore (Shard.await proc (Shard.spawn proc (fun _ -> i)) : Types.exit_status)
+         done;
+         check int "only main is left" 1 (Engine.thread_count proc);
+         0))
+
+(* Detaching changes where the outcome is kept, not what it is: every
+   way a task can end still reaches [await], and an [attr] that asks for
+   a joinable thread is overridden.  A raising task is covered for the
+   pool by "task failure propagates". *)
+let outcome_cases =
+  [
+    ("exit", (fun proc -> Pthread.exit proc 7), Types.Exited 7);
+    ( "cancel",
+      (fun proc ->
+        Cancel.cancel proc (Pthread.self proc);
+        Cancel.test proc;
+        0),
+      Types.Canceled );
+    ( "joinable attr",
+      (fun proc -> if (Engine.current proc).Types.detached then 3 else -1),
+      Types.Exited 3 );
+  ]
+
+let check_outcomes ~extra proc =
+  List.iter
+    (fun (label, f, want) ->
+      let h =
+        Shard.spawn proc ~attr:(Attr.with_detached false Attr.default) f
+      in
+      check exit_status label want (Shard.await proc h))
+    (outcome_cases @ extra);
+  0
+
+let test_outcomes_survive_detach_local () =
+  ignore
+    (run_main
+       (check_outcomes
+          ~extra:[ ("raise", (fun _ -> failwith "boom"), Types.Failed Exit) ]))
+
+let test_outcomes_survive_detach_pool () =
+  let o = Shard.run_parallel ~domains:2 (check_outcomes ~extra:[]) in
+  check exit_status "root exit" (Types.Exited 0) o.Shard.status
+
+(* -------------------------------------------------------------- *)
 (* post_all: a process-level signal reaches every shard            *)
 (* -------------------------------------------------------------- *)
 
@@ -403,6 +490,11 @@ let suite =
         tc "homes and cross-shard await" test_homes_and_cross_shard_await;
         tc "task failure propagates" test_task_failure_propagates;
         tc "pool shutdown never deadlocks" test_pool_shutdown_no_deadlock;
+        tc "pool reaps finished tasks" test_pool_reaps_finished_tasks;
+        tc "single domain reaps finished tasks"
+          test_single_domain_reaps_finished_tasks;
+        tc "outcomes survive detaching, local" test_outcomes_survive_detach_local;
+        tc "outcomes survive detaching, pool" test_outcomes_survive_detach_pool;
         tc "post_all reaches every shard" test_post_all_reaches_every_shard;
       ] );
   ]
