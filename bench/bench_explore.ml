@@ -105,18 +105,24 @@ let bench ~full_budget (s : S.t) =
   }
 
 let json_of_row r =
-  Printf.sprintf
-    "{\"scenario\": %S, \"runs\": %d, \"steps\": %d, \"secs\": %.3f, \
-     \"schedules_per_sec\": %.0f%s}"
-    r.r_name r.r_runs r.r_steps r.r_secs
-    (float_of_int r.r_runs /. r.r_secs)
-    (match r.r_full_runs with
-    | None -> ""
+  let open Obs.Json in
+  Obj
+    ([
+       ("scenario", Str r.r_name);
+       ("runs", int r.r_runs);
+       ("steps", int r.r_steps);
+       ("secs", numf "%.3f" r.r_secs);
+       ("schedules_per_sec", numf "%.0f" (float_of_int r.r_runs /. r.r_secs));
+     ]
+    @
+    match r.r_full_runs with
+    | None -> []
     | Some n ->
-        Printf.sprintf
-          ", \"full_runs\": %d, \"full_capped\": %b, \"reduction\": %.1f" n
-          r.r_full_capped
-          (float_of_int n /. float_of_int r.r_runs))
+        [
+          ("full_runs", int n);
+          ("full_capped", Bool r.r_full_capped);
+          ("reduction", numf "%.1f" (float_of_int n /. float_of_int r.r_runs));
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Parallel scaling: schedules/sec per domain count                    *)
@@ -158,10 +164,14 @@ let bench_parallel domains =
   (domains, !total_runs, secs, sps)
 
 let json_of_parallel (domains, runs, secs, sps) =
-  Printf.sprintf
-    "{\"domains\": %d, \"runs\": %d, \"secs\": %.3f, \
-     \"schedules_per_sec\": %.0f}"
-    domains runs secs sps
+  let open Obs.Json in
+  Obj
+    [
+      ("domains", int domains);
+      ("runs", int runs);
+      ("secs", numf "%.3f" secs);
+      ("schedules_per_sec", numf "%.0f" sps);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* DPOR vs PCT coverage                                                *)
@@ -225,17 +235,26 @@ let bench_pct (s : S.t) =
 
 let json_of_pct (name, dpor_runs, dpor_secs, pct_find, pct_secs, pct_runs, bound)
     =
-  Printf.sprintf
-    "{\"scenario\": %S, \"dpor_runs\": %d, \"dpor_secs\": %.3f, \
-     \"pct_runs_to_find\": %d, \"pct_runs\": %d, \"pct_secs\": %.3f, \
-     \"pct_schedules_per_sec\": %.0f%s}"
-    name dpor_runs dpor_secs pct_find pct_runs pct_secs
-    (float_of_int pct_runs /. pct_secs)
-    (match bound with
+  let open Obs.Json in
+  Obj
+    ([
+       ("scenario", Str name);
+       ("dpor_runs", int dpor_runs);
+       ("dpor_secs", numf "%.3f" dpor_secs);
+       ("pct_runs_to_find", int pct_find);
+       ("pct_runs", int pct_runs);
+       ("pct_secs", numf "%.3f" pct_secs);
+       ( "pct_schedules_per_sec",
+         numf "%.0f" (float_of_int pct_runs /. pct_secs) );
+     ]
+    @
+    match bound with
     | Some b ->
-        Printf.sprintf ", \"pct_bound\": %.3e, \"pct_cumulative\": %.4f"
-          b.Sm.b_single b.Sm.b_cumulative
-    | None -> "")
+        [
+          ("pct_bound", numf "%.3e" b.Sm.b_single);
+          ("pct_cumulative", numf "%.4f" b.Sm.b_cumulative);
+        ]
+    | None -> [])
 
 (* ------------------------------------------------------------------ *)
 
@@ -262,18 +281,21 @@ let () =
         r_full_capped = false;
       }
   end;
-  Printf.printf "BENCH_explore: {\"explore\": [%s]}\n"
-    (String.concat ", " (List.rev_map json_of_row !rows));
+  let print_section key rows =
+    Printf.printf "BENCH_%s: %s\n" key
+      (Obs.Json.to_string (Obs.Json.Obj [ (key, rows) ]))
+  in
+  print_section "explore" (Obs.Json.Arr (List.rev_map json_of_row !rows));
   (* parallel scaling *)
   print_newline ();
   let par = List.map bench_parallel domain_counts in
-  let par_json = Bench_record.array json_of_parallel par in
-  Printf.printf "BENCH_explore_parallel: {\"explore_parallel\": %s}\n" par_json;
+  let par_json = Obs.Json.Arr (List.map json_of_parallel par) in
+  print_section "explore_parallel" par_json;
   (* coverage table *)
   print_newline ();
   let pct = List.map bench_pct buggy_workload in
-  let pct_json = Bench_record.array json_of_pct pct in
-  Printf.printf "BENCH_explore_pct: {\"explore_pct\": %s}\n" pct_json;
+  let pct_json = Obs.Json.Arr (List.map json_of_pct pct) in
+  print_section "explore_pct" pct_json;
   (match out_file with
   | Some f ->
       Bench_record.update f

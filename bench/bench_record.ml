@@ -2,10 +2,6 @@
    named sections; several programs each own some sections of the same
    file, so a write replaces its own sections and keeps everyone else's. *)
 
-(* [array row xs] is the JSON text of a section holding one [row] per
-   element. *)
-let array row xs = "[" ^ String.concat ", " (List.map row xs) ^ "]"
-
 let read file =
   if not (Sys.file_exists file) then []
   else
@@ -23,21 +19,12 @@ let section_text = function
       ^ "\n  ]"
   | v -> Obs.Json.to_string v
 
-(* [update file sections] rewrites [file] with each [(key, json_text)]
-   section in place of the existing section of that key (later duplicates
-   of it are dropped); new keys go at the end, other sections keep their
-   order and content.  A missing file starts an empty object.  Raises
-   [Failure] without touching [file] when it does not hold a JSON object,
-   and [Invalid_argument] when a section is not valid JSON. *)
+(* [update file sections] rewrites [file] with each [(key, json)] section
+   in place of the existing section of that key (later duplicates of it
+   are dropped); new keys go at the end, other sections keep their order
+   and content.  A missing file starts an empty object.  Raises [Failure]
+   without touching [file] when it does not hold a JSON object. *)
 let update file sections =
-  let sections =
-    List.map
-      (fun (k, text) ->
-        match Obs.Json.parse text with
-        | Ok v -> (k, v)
-        | Error e -> invalid_arg (Printf.sprintf "section %s: %s" k e))
-      sections
-  in
   let old = read file in
   let rec merge = function
     | [] -> List.filter (fun (k, _) -> not (List.mem_assoc k old)) sections
@@ -57,3 +44,18 @@ let update file sections =
                   (section_text v))
               (merge old)));
       output_string oc "\n}\n")
+
+(* The fields of the "obs" profile of a traced run: total contended wait,
+   dispatch count and latency histogram, and the per-mutex contention
+   table.  bench/main.exe (its "obs" section) and examples/obs_demo.exe
+   both build their BENCH_obs object from it. *)
+let obs_profile events =
+  let contention = Obs.Contention.of_events events in
+  let latency = Obs.Latency.of_events events in
+  [
+    ( "contended_wait_ns",
+      Obs.Json.int (Obs.Contention.total_wait_ns contention) );
+    ("dispatches", Obs.Json.int (Obs.Histogram.count latency));
+    ("dispatch_latency", Obs.Histogram.to_json latency);
+    ("contention", Obs.Contention.to_json contention);
+  ]

@@ -331,19 +331,8 @@ let figure5 () =
 (* ------------------------------------------------------------------ *)
 
 let obs_json () =
-  let events = Pthread.trace_events (figure5_proc `None) in
-  let contention = Obs.Contention.of_events events in
-  let latency = Obs.Latency.of_events events in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"contended_wait_ns\": %d, \"dispatch_latency\": "
-       (Obs.Contention.total_wait_ns contention));
-  Obs.Histogram.add_json buf latency;
-  Buffer.add_string buf ", \"contention\": ";
-  Obs.Contention.add_json buf contention;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Obs.Json.Obj
+    (Bench_record.obs_profile (Pthread.trace_events (figure5_proc `None)))
 
 let obs () =
   sep "Observability: contention and dispatch latency (Figure 5, no protocol)";
@@ -351,7 +340,7 @@ let obs () =
   Format.printf "%a@." Obs.Contention.pp (Obs.Contention.of_events events);
   Format.printf "dispatch latency:@.%a@." Obs.Latency.pp
     (Obs.Latency.of_events events);
-  Printf.printf "BENCH_obs: %s\n" (obs_json ())
+  Printf.printf "BENCH_obs: %s\n" (Obs.Json.to_string (obs_json ()))
 
 (* ------------------------------------------------------------------ *)
 (* Perverted scheduling evaluation                                      *)
@@ -1183,56 +1172,74 @@ let parallel_section () =
       "(single-core host: shards contend for one core, speedup <= 1 expected)\n"
 
 let par_row_json r =
-  Printf.sprintf
-    "{\"domains\": %d, \"cores\": %d, \"tasks\": %d, \"wall_s\": %.4f, \
-     \"ns_per_dispatch\": %.1f, \"dispatches\": %d, \"steals\": %d, \
-     \"speedup_vs_1\": %.3f}"
-    r.pr_domains r.pr_cores r.pr_tasks r.pr_wall_s r.pr_ns_per_dispatch
-    r.pr_dispatches r.pr_steals r.pr_speedup
+  let open Obs.Json in
+  Obj
+    [
+      ("domains", int r.pr_domains);
+      ("cores", int r.pr_cores);
+      ("tasks", int r.pr_tasks);
+      ("wall_s", numf "%.4f" r.pr_wall_s);
+      ("ns_per_dispatch", numf "%.1f" r.pr_ns_per_dispatch);
+      ("dispatches", int r.pr_dispatches);
+      ("steals", int r.pr_steals);
+      ("speedup_vs_1", numf "%.3f" r.pr_speedup);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* JSON output: Table 2 metrics + scheduler scaling                     *)
 (* ------------------------------------------------------------------ *)
 
-let json_opt_f = function
-  | Some v -> Printf.sprintf "%.1f" v
-  | None -> "null"
-
 let table2_row_json (r : Metrics.row) =
-  Printf.sprintf
-    "{\"metric\": \"%s\", \"published_sun_1plus_us\": %s, \
-     \"published_1plus_us\": %s, \"published_ipx_us\": %s, \
-     \"published_lynx_ipx_us\": %s, \"measured_sparc_1plus_us\": %.3f, \
-     \"measured_sparc_ipx_us\": %.3f}"
-    (Obs.Json.escape r.metric) (json_opt_f r.sun_1plus)
-    (json_opt_f r.paper_1plus) (json_opt_f r.paper_ipx)
-    (json_opt_f r.lynx_ipx)
-    (r.measure Cost_model.sparc_1plus)
-    (r.measure Cost_model.sparc_ipx)
+  let open Obs.Json in
+  let published = function Some v -> numf "%.1f" v | None -> Null in
+  Obj
+    [
+      ("metric", Str r.metric);
+      ("published_sun_1plus_us", published r.sun_1plus);
+      ("published_1plus_us", published r.paper_1plus);
+      ("published_ipx_us", published r.paper_ipx);
+      ("published_lynx_ipx_us", published r.lynx_ipx);
+      ( "measured_sparc_1plus_us",
+        numf "%.3f" (r.measure Cost_model.sparc_1plus) );
+      ( "measured_sparc_ipx_us",
+        numf "%.3f" (r.measure Cost_model.sparc_ipx) );
+    ]
 
 let sched_row_json r =
-  Printf.sprintf
-    "{\"threads\": %d, \"ns_per_dispatch\": %.1f, \"dispatches\": %d, \
-     \"bytes_per_thread\": %d, \"host_bytes_per_thread\": %d, \
-     \"timers_armed_peak\": %d}"
-    r.sr_threads r.sr_ns_per_dispatch r.sr_dispatches r.sr_bytes_per_thread
-    r.sr_host_bytes_per_thread r.sr_timers_peak
+  let open Obs.Json in
+  Obj
+    [
+      ("threads", int r.sr_threads);
+      ("ns_per_dispatch", numf "%.1f" r.sr_ns_per_dispatch);
+      ("dispatches", int r.sr_dispatches);
+      ("bytes_per_thread", int r.sr_bytes_per_thread);
+      ("host_bytes_per_thread", int r.sr_host_bytes_per_thread);
+      ("timers_armed_peak", int r.sr_timers_peak);
+    ]
 
 let timer_row_json r =
-  Printf.sprintf
-    "{\"timers\": %d, \"ns_per_op\": %.1f, \"fired\": %d, \"delivered\": %d, \
-     \"peak_armed\": %d, \"cascades\": %d}"
-    r.tr_timers r.tr_ns_per_op r.tr_fired r.tr_delivered r.tr_peak_armed
-    r.tr_cascades
+  let open Obs.Json in
+  Obj
+    [
+      ("timers", int r.tr_timers);
+      ("ns_per_op", numf "%.1f" r.tr_ns_per_op);
+      ("fired", int r.tr_fired);
+      ("delivered", int r.tr_delivered);
+      ("peak_armed", int r.tr_peak_armed);
+      ("cascades", int r.tr_cascades);
+    ]
 
 let san_row_json r =
-  Printf.sprintf
-    "{\"threads\": %d, \"ns_per_dispatch_off\": %.1f, \
-     \"ns_per_dispatch_on\": %.1f, \"overhead\": %.2f}"
-    r.xr_threads r.xr_ns_off r.xr_ns_on r.xr_overhead
+  let open Obs.Json in
+  Obj
+    [
+      ("threads", int r.xr_threads);
+      ("ns_per_dispatch_off", numf "%.1f" r.xr_ns_off);
+      ("ns_per_dispatch_on", numf "%.1f" r.xr_ns_on);
+      ("overhead", numf "%.2f" r.xr_overhead);
+    ]
 
 let write_json file =
-  let table2 = Bench_record.array table2_row_json Metrics.rows in
   let sched = List.map sched_latency sched_thread_counts in
   List.iter pp_sched_row sched;
   let timers = List.map timer_latency timer_counts in
@@ -1242,11 +1249,11 @@ let write_json file =
   List.iter pp_par_row prows;
   Bench_record.update file
     [
-      ("table2", table2);
-      ("sched_scaling", Bench_record.array sched_row_json sched);
-      ("timers_scaling", Bench_record.array timer_row_json timers);
-      ("sanitize", Bench_record.array san_row_json san);
-      ("parallel_scaling", Bench_record.array par_row_json prows);
+      ("table2", Obs.Json.Arr (List.map table2_row_json Metrics.rows));
+      ("sched_scaling", Obs.Json.Arr (List.map sched_row_json sched));
+      ("timers_scaling", Obs.Json.Arr (List.map timer_row_json timers));
+      ("sanitize", Obs.Json.Arr (List.map san_row_json san));
+      ("parallel_scaling", Obs.Json.Arr (List.map par_row_json prows));
       ("obs", obs_json ());
     ];
   Printf.printf "wrote %s\n%!" file
@@ -1264,7 +1271,7 @@ let sched_smoke file =
   let rows = List.map sched_latency [ 1_000; 10_000; 100_000 ] in
   List.iter pp_sched_row rows;
   Bench_record.update file
-    [ ("sched_scaling", Bench_record.array sched_row_json rows) ];
+    [ ("sched_scaling", Obs.Json.Arr (List.map sched_row_json rows)) ];
   Printf.printf "wrote %s\n%!" file;
   let per n =
     (List.find (fun r -> r.sr_threads = n) rows).sr_ns_per_dispatch
@@ -1290,7 +1297,7 @@ let parallel_smoke file =
   let rows = parallel_rows ~tasks:32 ~spins:200_000 () in
   List.iter pp_par_row rows;
   Bench_record.update file
-    [ ("parallel_scaling", Bench_record.array par_row_json rows) ];
+    [ ("parallel_scaling", Obs.Json.Arr (List.map par_row_json rows)) ];
   Printf.printf "wrote %s\n%!" file;
   let cores = (List.hd rows).pr_cores in
   let last = List.nth rows (List.length rows - 1) in

@@ -342,12 +342,19 @@ let pp_par_row ppf r =
     r.sp_p50_us r.sp_p99_us r.sp_steals r.sp_speedup
 
 let par_row_json r =
-  Printf.sprintf
-    "{\"domains\":%d,\"cores\":%d,\"completed\":%d,\"wall_s\":%.4f,\
-     \"throughput_rps\":%.1f,\"p50_us\":%d,\"p99_us\":%d,\"steals\":%d,\
-     \"speedup_vs_1\":%.3f}"
-    r.sp_domains r.sp_cores r.sp_completed r.sp_wall_s r.sp_throughput_rps
-    r.sp_p50_us r.sp_p99_us r.sp_steals r.sp_speedup
+  let open Obs.Json in
+  Obj
+    [
+      ("domains", int r.sp_domains);
+      ("cores", int r.sp_cores);
+      ("completed", int r.sp_completed);
+      ("wall_s", numf "%.4f" r.sp_wall_s);
+      ("throughput_rps", numf "%.1f" r.sp_throughput_rps);
+      ("p50_us", int r.sp_p50_us);
+      ("p99_us", int r.sp_p99_us);
+      ("steals", int r.sp_steals);
+      ("speedup_vs_1", numf "%.3f" r.sp_speedup);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
@@ -376,28 +383,27 @@ let pp_row ppf r =
         (Obs.Histogram.count d)
 
 let row_json r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"backend\":\"%s\",\"clients\":%d,\"spike_clients\":%d,\
-        \"requests\":%d,\"elapsed_ns\":%d,\"wall_s\":%.4f,\
-        \"throughput_rps\":%.1f,\"p50_us\":%d,\"p90_us\":%d,\"p99_us\":%d,\
-        \"max_us\":%d,\"switches\":%d,\"latency_hist\":"
-       r.sv_backend r.sv_params.clients r.sv_params.spike_clients
-       r.sv_completed r.sv_elapsed_ns r.sv_wall_s r.sv_throughput_rps
-       (Obs.Histogram.percentile r.sv_hist 50.0)
-       (Obs.Histogram.percentile r.sv_hist 90.0)
-       (Obs.Histogram.percentile r.sv_hist 99.0)
-       (Obs.Histogram.max_value r.sv_hist)
-       r.sv_switches);
-  Obs.Histogram.add_json b r.sv_hist;
-  (match r.sv_dispatch with
-  | None -> ()
-  | Some d ->
-      Buffer.add_string b ",\"dispatch_hist\":";
-      Obs.Histogram.add_json b d);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let open Obs.Json in
+  Obj
+    ([
+       ("backend", Str r.sv_backend);
+       ("clients", int r.sv_params.clients);
+       ("spike_clients", int r.sv_params.spike_clients);
+       ("requests", int r.sv_completed);
+       ("elapsed_ns", int r.sv_elapsed_ns);
+       ("wall_s", numf "%.4f" r.sv_wall_s);
+       ("throughput_rps", numf "%.1f" r.sv_throughput_rps);
+       ("p50_us", int (Obs.Histogram.percentile r.sv_hist 50.0));
+       ("p90_us", int (Obs.Histogram.percentile r.sv_hist 90.0));
+       ("p99_us", int (Obs.Histogram.percentile r.sv_hist 99.0));
+       ("max_us", int (Obs.Histogram.max_value r.sv_hist));
+       ("switches", int r.sv_switches);
+       ("latency_hist", Obs.Histogram.to_json r.sv_hist);
+     ]
+    @
+    match r.sv_dispatch with
+    | None -> []
+    | Some d -> [ ("dispatch_hist", Obs.Histogram.to_json d) ])
 
 (* The spike window of the trace — from just before the burst arrives
    until the longest spike request can have drained (the 50 xm Pareto

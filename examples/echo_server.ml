@@ -128,9 +128,9 @@ let () =
         else
           [
             ( "serving_parallel",
-              Bench_record.array Serving.par_row_json par_rows );
+              Obs.Json.Arr (List.map Serving.par_row_json par_rows) );
           ]
       in
       Bench_record.update file
-        (("serving", Bench_record.array Serving.row_json rows) :: par);
+        (("serving", Obs.Json.Arr (List.map Serving.row_json rows)) :: par);
       Format.printf "wrote serving rows to %s@." file)

@@ -67,7 +67,8 @@ let soak_suite () =
           | None -> ())
         report.r_failures
   | None -> ());
-  Printf.printf "BENCH_soak: %s\n" (Fault.Soak.json_of_report report);
+  Printf.printf "BENCH_soak: %s\n"
+    (Obs.Json.to_string (Fault.Soak.json_of_report report));
   report
 
 (* ---------------- the hunt ---------------- *)

@@ -221,17 +221,9 @@ let () =
     fail "latency samples %d <> traced dispatches %d"
       (Obs.Histogram.count latency) dispatch_total;
 
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"trace_events\": %d, \"contended_wait_ns\": %d, \"dispatches\": %d, \
-        \"dispatch_latency\": "
-       n_events
-       (Obs.Contention.total_wait_ns contention)
-       (Obs.Histogram.count latency));
-  Obs.Histogram.add_json buf latency;
-  Buffer.add_string buf ", \"contention\": ";
-  Obs.Contention.add_json buf contention;
-  Buffer.add_char buf '}';
-  Printf.printf "BENCH_obs: %s\n" (Buffer.contents buf);
+  Printf.printf "BENCH_obs: %s\n"
+    (Obs.Json.to_string
+       (Obs.Json.Obj
+          (("trace_events", Obs.Json.int n_events)
+          :: Bench_record.obs_profile events_none)));
   print_endline "obs_demo OK"

@@ -9,10 +9,7 @@ let run ?config mk sched =
   { outcome; steps; diverged_at }
 
 let of_file ?config mk path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
+  let text = In_channel.with_open_bin path In_channel.input_all in
   match Schedule.of_string text with
   | Error e -> Error (path ^ ": " ^ e)
   | Ok sched -> Ok (run ?config mk sched)

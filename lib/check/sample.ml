@@ -247,30 +247,3 @@ let pp_report ppf r =
         (Array.length f.schedule)
         (if Array.length f.schedule = 1 then "" else "s")
   | _ -> Format.fprintf ppf ";@ no failure found"
-
-let json_of_report r =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"method\": \"%s\", \"seed\": %d, \"runs\": %d, \"steps\": %d, \
-        \"max_depth\": %d, \"threads\": %d"
-       (method_to_string r.s_method)
-       r.s_seed r.s_runs r.s_steps r.s_max_depth r.s_threads);
-  (match r.s_bound with
-  | Some bd ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ", \"bound\": {\"threads\": %d, \"steps\": %d, \"depth\": %d, \
-            \"single\": %.6e, \"cumulative\": %.6f}"
-           bd.b_threads bd.b_steps bd.b_depth bd.b_single bd.b_cumulative)
-  | None -> ());
-  (match (r.s_failure, r.s_failure_index) with
-  | Some f, Some i ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ", \"failure\": {\"run\": %d, \"kind\": %S, \"schedule_len\": %d}" i
-           (Explore.failure_kind_to_string f.kind)
-           (Array.length f.schedule))
-  | _ -> Buffer.add_string b ", \"failure\": null");
-  Buffer.add_string b "}";
-  Buffer.contents b

@@ -69,7 +69,3 @@ val run :
     depth < 1. *)
 
 val pp_report : Format.formatter -> report -> unit
-
-val json_of_report : report -> string
-(** One JSON object (method, seed, budget, bound, failure summary) for
-    BENCH-style artifact lines. *)

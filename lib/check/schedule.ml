@@ -7,46 +7,19 @@ let to_list = Array.to_list
 let length = Array.length
 let equal (a : t) (b : t) = a = b
 
+(* 20 decisions per line, so long schedules stay diffable *)
 let to_string (t : t) =
-  let b = Buffer.create (String.length header + (Array.length t * 3) + 2) in
-  Buffer.add_string b header;
-  Buffer.add_char b '\n';
-  Array.iteri
-    (fun i tid ->
-      (* wrap lines so long schedules stay diffable *)
-      if i > 0 then Buffer.add_char b (if i mod 20 = 0 then '\n' else ' ');
-      Buffer.add_string b (string_of_int tid))
-    t;
-  if Array.length t > 0 then Buffer.add_char b '\n';
-  Buffer.contents b
-
-let of_string s =
-  let lines = String.split_on_char '\n' s in
-  (* the first non-blank line must be the versioned header; later comment
-     lines are ignored so golden files can carry provenance notes *)
-  let rec split_header = function
-    | [] -> Error "empty schedule"
-    | l :: rest ->
-        if String.trim l = "" then split_header rest
-        else if String.trim l = header then Ok rest
-        else Error ("unrecognized schedule header: " ^ String.trim l)
+  let n = Array.length t in
+  let line k =
+    Array.sub t (20 * k) (min 20 (n - (20 * k)))
+    |> Array.to_list |> List.map string_of_int |> String.concat " "
   in
-  match split_header lines with
-  | Error _ as e -> e
-  | Ok body -> (
-      let tokens =
-        List.concat_map
-          (fun line ->
-            let line = String.trim line in
-            if line = "" || line.[0] = '#' then []
-            else
-              List.filter
-                (fun tok -> tok <> "")
-                (String.split_on_char ' ' line))
-          body
-      in
-      try Ok (Array.of_list (List.map int_of_string tokens))
-      with Failure _ -> Error "malformed decision list")
+  Obs.Line_codec.render ~header (List.init ((n + 19) / 20) line)
+
+let of_string =
+  Obs.Line_codec.parse ~what:"schedule" ~header (fun records ->
+      Array.of_list
+        (List.concat_map (List.map (Obs.Line_codec.int "decision")) records))
 
 let pp ppf (t : t) =
   Format.fprintf ppf "[%s]"

@@ -4,10 +4,10 @@
     Decision [i] is the tid the dispatcher was told to run at the [i]th
     scheduling point.  Because the whole simulation is deterministic, the
     decision list pins down the run exactly: {!Replay} re-executes it and
-    reproduces the same trace, failure included.  The text format is a
-    versioned header line followed by whitespace-separated tids ([#] lines
-    are comments), so counterexamples can live in the repository as golden
-    files. *)
+    reproduces the same trace, failure included.  The text format is an
+    {!Obs.Line_codec} file: a versioned header line followed by
+    space-separated tids ([#] lines are comments), so counterexamples can
+    live in the repository as golden files. *)
 
 type t = int array
 

@@ -108,70 +108,44 @@ let action_to_string = function
   | Clock_jump ns -> Printf.sprintf "clock-jump %d" ns
 
 let to_string (t : t) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b header;
-  Buffer.add_char b '\n';
-  List.iter
-    (fun { at; act } ->
-      Buffer.add_string b (Printf.sprintf "@%d %s\n" at (action_to_string act)))
-    t;
-  Buffer.contents b
+  Obs.Line_codec.render ~header
+    (List.map
+       (fun { at; act } -> Printf.sprintf "@%d %s" at (action_to_string act))
+       t)
 
-let action_of_tokens = function
-  | [ "spurious-wakeup"; n ] -> Ok (Spurious_wakeup (int_of_string n))
-  | [ "preempt" ] -> Ok Preempt
+let action_of_tokens =
+  let int = Obs.Line_codec.int in
+  function
+  | [ "spurious-wakeup"; n ] -> Spurious_wakeup (int "thread index" n)
+  | [ "preempt" ] -> Preempt
   | [ "trap-fault"; name; e ] -> (
       match Errno.of_string e with
-      | Some e -> Ok (Trap_fault (name, e))
-      | None -> Error ("unknown errno: " ^ e))
+      | Some e -> Trap_fault (name, e)
+      | None -> Obs.Line_codec.fail "unknown errno: %s" e)
   | [ "signal-burst"; signo; count; "proc" ] ->
-      Ok
-        (Signal_burst
-           { signo = int_of_string signo; count = int_of_string count; thread = None })
+      Signal_burst
+        { signo = int "signo" signo; count = int "count" count; thread = None }
   | [ "signal-burst"; signo; count; "thread"; n ] ->
-      Ok
-        (Signal_burst
-           {
-             signo = int_of_string signo;
-             count = int_of_string count;
-             thread = Some (int_of_string n);
-           })
-  | [ "cancel"; n ] -> Ok (Cancel (int_of_string n))
-  | [ "clock-jump"; ns ] -> Ok (Clock_jump (int_of_string ns))
-  | toks -> Error ("unrecognized action: " ^ String.concat " " toks)
+      Signal_burst
+        {
+          signo = int "signo" signo;
+          count = int "count" count;
+          thread = Some (int "thread index" n);
+        }
+  | [ "cancel"; n ] -> Cancel (int "thread index" n)
+  | [ "clock-jump"; ns ] -> Clock_jump (int "clock jump" ns)
+  | toks ->
+      Obs.Line_codec.fail "unrecognized action: %s" (String.concat " " toks)
 
-let of_string s =
-  let lines = String.split_on_char '\n' s in
-  let rec split_header = function
-    | [] -> Error "empty fault plan"
-    | l :: rest ->
-        if String.trim l = "" then split_header rest
-        else if String.trim l = header then Ok rest
-        else Error ("unrecognized fault-plan header: " ^ String.trim l)
-  in
-  match split_header lines with
-  | Error _ as e -> e
-  | Ok body -> (
-      try
-        let parse_line acc line =
-          let line = String.trim line in
-          if line = "" || line.[0] = '#' then acc
-          else
-            match
-              List.filter (fun t -> t <> "") (String.split_on_char ' ' line)
-            with
-            | at :: toks when String.length at > 1 && at.[0] = '@' -> (
-                let at =
-                  int_of_string (String.sub at 1 (String.length at - 1))
-                in
-                match action_of_tokens toks with
-                | Ok act -> { at; act } :: acc
-                | Error e -> failwith e)
-            | _ -> failwith ("malformed injection line: " ^ line)
-        in
-        Ok (List.rev (List.fold_left parse_line [] body))
-      with
-      | Failure e -> Error e)
+let of_string =
+  Obs.Line_codec.parse ~what:"fault plan" ~header
+    (List.map (function
+      | at :: toks ->
+          {
+            at = Obs.Line_codec.at "injection point" at;
+            act = action_of_tokens toks;
+          }
+      | [] -> assert false (* the codec drops blank lines *)))
 
 let pp ppf (t : t) =
   Format.fprintf ppf "[%s]"

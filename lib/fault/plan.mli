@@ -68,7 +68,7 @@ val random : seed:int -> points:int -> budget:int -> kinds -> t
 (** {1 Serialization — the [.fault] golden-file format} *)
 
 val to_string : t -> string
-(** Versioned text form, one injection per line:
+(** Versioned text form ({!Obs.Line_codec}), one injection per line:
     {v
 # pthreads-fault plan v1
 @3 spurious-wakeup 0

@@ -240,23 +240,38 @@ let default_suite =
   ]
 
 let json_of_failure f =
-  Printf.sprintf
-    "{\"scenario\": %S, \"seed\": %d, \"kind\": %S, \"injections\": %d, \
-     \"san\": %S, \"sched_len\": %s}"
-    f.f_scenario f.f_seed
-    (E.failure_kind_to_string f.f_kind)
-    (Plan.length f.f_plan)
-    (match f.f_san with Some r -> Sanitize.Report.summary r | None -> "clean")
-    (match f.f_sched with
-    | Some s -> string_of_int (Check.Schedule.length s)
-    | None -> "null")
+  let open Obs.Json in
+  Obj
+    [
+      ("scenario", Str f.f_scenario);
+      ("seed", int f.f_seed);
+      ("kind", Str (E.failure_kind_to_string f.f_kind));
+      ("injections", int (Plan.length f.f_plan));
+      ( "san",
+        Str
+          (match f.f_san with
+          | Some r -> Sanitize.Report.summary r
+          | None -> "clean") );
+      ( "sched_len",
+        match f.f_sched with
+        | Some s -> int (Check.Schedule.length s)
+        | None -> Null );
+    ]
 
 let json_of_report r =
-  Printf.sprintf
-    "{\"soak\": {\"scenarios\": %d, \"runs\": %d, \"points\": %d, \
-     \"injected\": %d, \"failures\": [%s]}}"
-    r.r_scenarios r.r_runs r.r_points r.r_injected
-    (String.concat ", " (List.map json_of_failure r.r_failures))
+  let open Obs.Json in
+  Obj
+    [
+      ( "soak",
+        Obj
+          [
+            ("scenarios", int r.r_scenarios);
+            ("runs", int r.r_runs);
+            ("points", int r.r_points);
+            ("injected", int r.r_injected);
+            ("failures", Arr (List.map json_of_failure r.r_failures));
+          ] );
+    ]
 
 let pp_report ppf r =
   Format.fprintf ppf

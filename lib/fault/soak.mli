@@ -94,8 +94,7 @@ val default_suite : Check.Scenarios.t list
     [Scenarios.lost_wakeup_no_loop]) are {e not} here — they are the
     demos and tests' quarry. *)
 
-val json_of_report : report -> string
-(** One-line JSON summary in the style of the bench output
-    ([BENCH_soak: {...}]). *)
+val json_of_report : report -> Obs.Json.t
+(** JSON summary in the style of the bench output ([BENCH_soak: {...}]). *)
 
 val pp_report : Format.formatter -> report -> unit

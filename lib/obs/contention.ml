@@ -111,19 +111,16 @@ let pp ppf reports =
   | _ -> ());
   Format.fprintf ppf "@]"
 
-let add_json buf reports =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\": \"%s\", \"acquisitions\": %d, \"contended\": %d, \
-            \"hold\": "
-           (Json.escape r.c_name) r.acquisitions r.contended);
-      Histogram.add_json buf r.hold;
-      Buffer.add_string buf ", \"wait\": ";
-      Histogram.add_json buf r.wait;
-      Buffer.add_char buf '}')
-    reports;
-  Buffer.add_char buf ']'
+let to_json reports =
+  Json.Arr
+    (List.map
+       (fun r ->
+         Json.Obj
+           [
+             ("name", Json.Str r.c_name);
+             ("acquisitions", Json.int r.acquisitions);
+             ("contended", Json.int r.contended);
+             ("hold", Histogram.to_json r.hold);
+             ("wait", Histogram.to_json r.wait);
+           ])
+       reports)

@@ -31,7 +31,7 @@ val pp : Format.formatter -> report list -> unit
 (** Human-readable table: one line per mutex plus the wait histogram of
     the worst offender. *)
 
-val add_json : Buffer.t -> report list -> unit
-(** Append a JSON array, one object per mutex:
+val to_json : report list -> Json.t
+(** A JSON array, one object per mutex:
     [{"name", "acquisitions", "contended", "hold", "wait"}] with the
-    histograms encoded as {!Histogram.add_json} does. *)
+    histograms encoded by {!Histogram.to_json}. *)

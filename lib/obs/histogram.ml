@@ -83,13 +83,16 @@ let pp ppf h =
     Format.fprintf ppf "n=%d mean=%.0f max=%d@]" h.n (mean h) h.max_v
   end
 
-let add_json buf h =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"count\": %d, \"total\": %d, \"max\": %d, \"mean\": %.1f, \"buckets\": ["
-       h.n h.sum h.max_v (mean h));
-  List.iteri
-    (fun i (lo, _, c) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Printf.sprintf "[%d, %d]" lo c))
-    (buckets h);
-  Buffer.add_string buf "]}"
+let to_json h =
+  Json.Obj
+    [
+      ("count", Json.int h.n);
+      ("total", Json.int h.sum);
+      ("max", Json.int h.max_v);
+      ("mean", Json.numf "%.1f" (mean h));
+      ( "buckets",
+        Json.Arr
+          (List.map
+             (fun (lo, _, c) -> Json.Arr [ Json.int lo; Json.int c ])
+             (buckets h)) );
+    ]

@@ -40,6 +40,6 @@ val buckets : t -> (int * int * int) list
 val pp : Format.formatter -> t -> unit
 (** ASCII bucket bars with counts. *)
 
-val add_json : Buffer.t -> t -> unit
-(** Append a JSON object
+val to_json : t -> Json.t
+(** The object
     [{"count":..,"total":..,"max":..,"mean":..,"buckets":[[lo,count],..]}]. *)

@@ -6,6 +6,9 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+let int n = Num (float_of_int n)
+let numf fmt x = Num (float_of_string (Printf.sprintf fmt x))
+
 exception Bad of int * string
 
 let parse s =

@@ -1,10 +1,10 @@
 (* Structured sanitizer findings and their [.san] text serialization.
 
    Like [.sched] (Check.Schedule) and [.fault] (Fault.Plan), the format is
-   line-oriented, versioned by a header, and round-trips through
-   [of_string]/[to_string] so findings can be committed as golden files
-   and diffed by humans.  All names are tokenized (no whitespace) so each
-   line splits positionally. *)
+   an Obs.Line_codec file: line-oriented, versioned by a header, and
+   round-trips through [of_string]/[to_string] so findings can be
+   committed as golden files and diffed by humans.  All names are
+   tokenized (no whitespace) so each line splits positionally. *)
 
 let header = "# pthreads-sanitize report v1"
 
@@ -111,44 +111,22 @@ let leak_to_string l =
     (tok l.lk_tname) l.lk_time
 
 let to_string r =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf header;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun rc ->
-      Buffer.add_string buf (race_to_string rc);
-      Buffer.add_char buf '\n')
-    r.races;
-  List.iter
-    (fun cy ->
-      Buffer.add_string buf (Printf.sprintf "cycle %d\n" (List.length cy));
-      List.iter
-        (fun e ->
-          Buffer.add_string buf (edge_to_string e);
-          Buffer.add_char buf '\n')
-        cy)
-    r.cycles;
-  List.iter
-    (fun l ->
-      Buffer.add_string buf (leak_to_string l);
-      Buffer.add_char buf '\n')
-    r.leaks;
-  Buffer.contents buf
+  Obs.Line_codec.render ~header
+    (List.map race_to_string r.races
+    @ List.concat_map
+        (fun cy ->
+          Printf.sprintf "cycle %d" (List.length cy)
+          :: List.map edge_to_string cy)
+        r.cycles
+    @ List.map leak_to_string r.leaks)
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-exception Bad of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
-let int_tok what s =
-  match int_of_string_opt s with Some v -> v | None -> fail "bad %s: %s" what s
-
-let time_tok s =
-  if String.length s < 2 || s.[0] <> '@' then fail "bad time: %s" s
-  else int_tok "time" (String.sub s 1 (String.length s - 1))
+let fail = Obs.Line_codec.fail
+let int_tok = Obs.Line_codec.int
+let time_tok = Obs.Line_codec.at "time"
 
 let held_tok s =
   match held_of_string s with Some h -> h | None -> fail "bad held set: %s" s
@@ -174,11 +152,7 @@ let access_of_tokens = function
       }
   | toks -> fail "bad access: %s" (String.concat " " toks)
 
-let split_ws s =
-  String.split_on_char ' ' s |> List.filter (fun t -> t <> "")
-
-let edge_of_line line =
-  match split_ws line with
+let edge_of_tokens = function
   | [
    "edge"; src; sname; smode; "->"; dst; dname; dmode; "by"; tid; tname; time;
    held;
@@ -195,83 +169,62 @@ let edge_of_line line =
         e_time = time_tok time;
         e_held = held_tok held;
       }
-  | _ -> fail "bad edge line: %s" line
+  | toks -> fail "bad edge line: %s" (String.concat " " toks)
 
-let of_string s =
-  match String.split_on_char '\n' s with
-  | [] -> Error "empty report"
-  | h :: lines when String.trim h = header -> (
-      let races = ref [] and cycles = ref [] and leaks = ref [] in
-      let rec go = function
-        | [] -> ()
-        | line :: rest -> (
-            let line = String.trim line in
-            if line = "" || line.[0] = '#' then go rest
-            else
-              match split_ws line with
-              | "race" :: key :: kind :: toks ->
-                  let kind =
-                    match kind with
-                    | "vc" -> Race_vc
-                    | "lockset" -> Race_lockset
-                    | k -> fail "bad race kind: %s" k
-                  in
-                  let first, second =
-                    match toks with
-                    | [ a1; a2; a3; a4; a5; b1; b2; b3; b4; b5 ] ->
-                        ( access_of_tokens [ a1; a2; a3; a4; a5 ],
-                          access_of_tokens [ b1; b2; b3; b4; b5 ] )
-                    | _ -> fail "bad race line: %s" line
-                  in
-                  races :=
-                    { rc_key = key; rc_kind = kind; rc_first = first; rc_second = second }
-                    :: !races;
-                  go rest
-              | [ "cycle"; n ] ->
-                  let n = int_tok "cycle length" n in
-                  let rec take n acc = function
-                    | rest when n = 0 -> (List.rev acc, rest)
-                    | [] -> fail "truncated cycle"
-                    | l :: rest -> take (n - 1) (edge_of_line l :: acc) rest
-                  in
-                  let edges, rest = take n [] rest in
-                  cycles := edges :: !cycles;
-                  go rest
-              | [ "leak"; key; name; tid; tname; time ] ->
-                  leaks :=
-                    {
-                      lk_key = key;
-                      lk_name = name;
-                      lk_tid = int_tok "tid" tid;
-                      lk_tname = tname;
-                      lk_time = time_tok time;
-                    }
-                    :: !leaks;
-                  go rest
-              | _ -> fail "unrecognized line: %s" line)
+let rec records r = function
+  | [] ->
+      {
+        races = List.rev r.races;
+        cycles = List.rev r.cycles;
+        leaks = List.rev r.leaks;
+      }
+  | ("race" :: key :: kind :: toks as line) :: rest ->
+      let kind =
+        match kind with
+        | "vc" -> Race_vc
+        | "lockset" -> Race_lockset
+        | k -> fail "bad race kind: %s" k
       in
-      try
-        go lines;
-        Ok
-          {
-            races = List.rev !races;
-            cycles = List.rev !cycles;
-            leaks = List.rev !leaks;
-          }
-      with Bad msg -> Error msg)
-  | h :: _ -> Error (Printf.sprintf "bad header: %s" (String.trim h))
+      let first, second =
+        match toks with
+        | [ a1; a2; a3; a4; a5; b1; b2; b3; b4; b5 ] ->
+            ( access_of_tokens [ a1; a2; a3; a4; a5 ],
+              access_of_tokens [ b1; b2; b3; b4; b5 ] )
+        | _ -> fail "bad race line: %s" (String.concat " " line)
+      in
+      let race =
+        { rc_key = key; rc_kind = kind; rc_first = first; rc_second = second }
+      in
+      records { r with races = race :: r.races } rest
+  | [ "cycle"; n ] :: rest ->
+      let rec take n acc = function
+        | rest when n = 0 -> (List.rev acc, rest)
+        | [] -> fail "truncated cycle"
+        | l :: rest -> take (n - 1) (edge_of_tokens l :: acc) rest
+      in
+      let edges, rest = take (int_tok "cycle length" n) [] rest in
+      records { r with cycles = edges :: r.cycles } rest
+  | [ "leak"; key; name; tid; tname; time ] :: rest ->
+      let leak =
+        {
+          lk_key = key;
+          lk_name = name;
+          lk_tid = int_tok "tid" tid;
+          lk_tname = tname;
+          lk_time = time_tok time;
+        }
+      in
+      records { r with leaks = leak :: r.leaks } rest
+  | line :: _ -> fail "unrecognized line: %s" (String.concat " " line)
+
+let of_string =
+  Obs.Line_codec.parse ~what:"sanitizer report" ~header (records empty)
 
 let to_file file r =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string r))
+  Out_channel.with_open_bin file (fun oc -> output_string oc (to_string r))
 
 let of_file file =
-  let ic = open_in file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (In_channel.input_all ic))
+  of_string (In_channel.with_open_bin file In_channel.input_all)
 
 let pp_access ppf a =
   Format.fprintf ppf "%s by %s (tid %d) at %dns holding %s"

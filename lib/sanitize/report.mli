@@ -3,8 +3,8 @@
     A report is the output of one monitored execution: data races (by
     vector clock, with an Eraser-style lockset fallback), predicted
     lock-order cycles, and locks still held at thread exit.  The [.san]
-    serialization is line-oriented and versioned like [.sched] and
-    [.fault], so findings can be committed as golden files. *)
+    serialization is an {!Obs.Line_codec} file like [.sched] and [.fault],
+    so findings can be committed as golden files. *)
 
 type access = {
   ac_write : bool;

@@ -53,12 +53,19 @@ let test_update_replaces_in_place () =
   with_temp (fun file ->
       Sys.remove file;
       (* a missing file starts an empty object *)
-      Bench_record.update file [ ("a", "[{\"x\": 0.800}]") ];
+      let row x = Json.Obj [ ("x", Json.Num x) ] in
+      Bench_record.update file [ ("a", Json.Arr [ row 0.8 ]) ];
       Bench_record.update file
-        [ ("b", "{\"y\": 1.234e-05, \"s\": \"q\\\"uote\"}"); ("c", "[]") ];
+        [
+          ( "b",
+            Json.Obj [ ("y", Json.Num 1.234e-05); ("s", Json.Str "q\"uote") ]
+          );
+          ("c", Json.Arr []);
+        ];
       let before = parse_exn "before" (read_file file) in
-      Bench_record.update file [ ("a", "[{\"x\": 2}, {\"x\": 3}]") ];
-      Bench_record.update file [ ("a", "[{\"x\": 4}]"); ("d", "null") ];
+      Bench_record.update file [ ("a", Json.Arr [ row 2.0; row 3.0 ]) ];
+      Bench_record.update file
+        [ ("a", Json.Arr [ row 4.0 ]); ("d", Json.Null) ];
       let after = parse_exn "after" (read_file file) in
       match (before, after) with
       | Json.Obj b, Json.Obj a ->
@@ -80,7 +87,7 @@ let test_update_collapses_repeats () =
   with_temp (fun file ->
       Out_channel.with_open_bin file (fun oc ->
           output_string oc "{\"a\": 1, \"b\": 2, \"a\": 3}");
-      Bench_record.update file [ ("a", "4") ];
+      Bench_record.update file [ ("a", Json.Num 4.0) ];
       check bool "one a, in first position" true
         (parse_exn "record" (read_file file)
         = Json.Obj [ ("a", Json.Num 4.0); ("b", Json.Num 2.0) ]))
@@ -89,7 +96,7 @@ let test_update_rejects_unparsable () =
   with_temp (fun file ->
       Out_channel.with_open_bin file (fun oc ->
           output_string oc "{\"a\": [1, 2,");
-      (match Bench_record.update file [ ("b", "1") ] with
+      (match Bench_record.update file [ ("b", Json.Num 1.0) ] with
       | () -> Alcotest.fail "update accepted a broken record"
       | exception Failure _ -> ());
       check string "file left untouched" "{\"a\": [1, 2," (read_file file))

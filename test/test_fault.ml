@@ -109,6 +109,65 @@ let test_plan_roundtrip () =
   | Ok _ -> Alcotest.fail "missing header must not parse"
   | Error _ -> ()
 
+(* The three text formats share one line codec: each runs through the
+   same cases.  A record line parses back to itself after blank lines
+   before the header and comment lines anywhere; a wrong header, an empty
+   input and a non-numeric integer token are rejected, the last with an
+   error that names the token. *)
+let test_line_formats_share_codec () =
+  let round_trip of_string to_string text =
+    Result.map to_string (of_string text)
+  in
+  let formats =
+    [
+      ( "sched",
+        "# pthreads-explore schedule v1",
+        "0 1 2",
+        ("0 x1 2", "x1"),
+        round_trip Check.Schedule.of_string Check.Schedule.to_string );
+      ( "fault",
+        "# pthreads-fault plan v1",
+        "@2 preempt",
+        ("@x preempt", "@x"),
+        round_trip Plan.of_string Plan.to_string );
+      ( "san",
+        Sanitize.Report.header,
+        "leak mutex:1 m 2 t2 @5",
+        ("leak mutex:1 m two t2 @5", "two"),
+        round_trip Sanitize.Report.of_string Sanitize.Report.to_string );
+    ]
+  in
+  let contains hay needle =
+    let nl = String.length needle and hl = String.length hay in
+    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (name, header, record, (bad_line, bad_tok), parse) ->
+      let rejects what text naming =
+        match parse text with
+        | Ok _ -> Alcotest.failf "%s: %s accepted" name what
+        | Error e ->
+            if not (contains e naming) then
+              Alcotest.failf "%s: %s error %S does not name %S" name what e
+                naming
+      in
+      (match
+         parse
+           (String.concat "\n"
+              [ ""; "  "; header; "# note"; ""; record; "  # indented"; "" ])
+       with
+      | Ok text ->
+          check string (name ^ ": blank and comment lines skipped")
+            (header ^ "\n" ^ record ^ "\n")
+            text
+      | Error e -> Alcotest.failf "%s: rejected: %s" name e);
+      rejects "wrong header" ("# pthreads-other v1\n" ^ record ^ "\n")
+        "pthreads-other";
+      rejects "empty input" "\n  \n" "empty";
+      rejects "bad int token" (header ^ "\n" ^ bad_line ^ "\n") bad_tok)
+    formats
+
 let test_plan_random_deterministic () =
   let kinds = Plan.safe_kinds in
   let p1 = Plan.random ~seed:42 ~points:50 ~budget:6 kinds in
@@ -153,13 +212,48 @@ let test_soak_robust_suite_clean () =
   let r = Soak.soak ~config Soak.default_suite in
   check int "no failures" 0 (List.length r.Soak.r_failures);
   check bool "faults were injected" true (r.Soak.r_injected > 0);
-  let j = Soak.json_of_report r in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
+  let failures =
+    Option.bind
+      (Obs.Json.member "soak" (Soak.json_of_report r))
+      (Obs.Json.member "failures")
   in
-  check bool "json says clean" true (contains j "\"failures\": []")
+  check bool "json says clean" true (failures = Some (Obs.Json.Arr []))
+
+(* A failure message is arbitrary bytes (an exception's text); the
+   BENCH_soak line must still be JSON, and the message must survive it. *)
+let test_soak_json_escapes_failure_text () =
+  let kind = E.Main_raised "caf\xc3\xa9 \001 \"quoted\" \\ tab\t" in
+  let failure =
+    {
+      Soak.f_scenario = "s";
+      f_seed = 1;
+      f_kind = kind;
+      f_plan = [];
+      f_first_plan = [];
+      f_san = None;
+      f_sched = None;
+    }
+  in
+  let r =
+    {
+      Soak.r_scenarios = 1;
+      r_runs = 1;
+      r_points = 0;
+      r_injected = 0;
+      r_failures = [ failure ];
+    }
+  in
+  match Obs.Json.parse (Obs.Json.to_string (Soak.json_of_report r)) with
+  | Error e -> Alcotest.failf "BENCH_soak line is not JSON: %s" e
+  | Ok j -> (
+      match
+        Option.bind (Obs.Json.member "soak" j) (Obs.Json.member "failures")
+      with
+      | Some (Obs.Json.Arr [ f ]) ->
+          check bool "failure kind round-trips" true
+            (Obs.Json.member "kind" f
+            = Some (Obs.Json.Str (E.failure_kind_to_string kind)))
+      | _ -> Alcotest.fail "no single failure in the report")
 
 (* ------------------------------------------------------------------ *)
 (* The acceptance criterion: the seeded lost wakeup is found, shrunk,  *)
@@ -370,10 +464,12 @@ let suite =
         tc "flat statuses are errnos on the wire" test_flat_constants_are_errnos;
         tc "misuse raises structured Error" test_structured_errors;
         tc "plan serialization round-trips" test_plan_roundtrip;
+        tc "line formats share one codec" test_line_formats_share_codec;
         tc "plan generation is seed-deterministic" test_plan_random_deterministic;
         tc "predicate loop absorbs spurious wakeups"
           test_spurious_absorbed_by_predicate_loop;
         tc "robust suite soaks clean" test_soak_robust_suite_clean;
+        tc "soak JSON escapes failure text" test_soak_json_escapes_failure_text;
         tc "soak finds the seeded lost wakeup" test_soak_finds_seeded_lost_wakeup;
         tc "golden .fault counterexample replays" test_golden_fault_replays;
         tc "injected trap fault surfaces as EINTR" test_injected_eintr;
