@@ -9,43 +9,40 @@ open Pthreads.Types
 let find_violation eng ~final =
   let bad = ref None in
   let report msg = if !bad = None then bad := Some msg in
-  let owns_recorded o m = List.exists (fun x -> x == m) o.owned in
+  let owns_recorded o m = List.memq m (Tcb.owned_list o) in
   let check_mutex m =
-    (match (m.m_locked, m.m_owner) with
-    | true, None -> report (m.m_name ^ " is locked but has no owner")
-    | false, Some o ->
-        report (m.m_name ^ " has owner " ^ o.tname ^ " but is not locked")
-    | _ -> ());
-    (match m.m_owner with
-    | Some o when m.m_locked ->
-        if o.state = Terminated then
-          report
-            (Printf.sprintf "%s leaked: owner %s terminated while holding it"
-               m.m_name o.tname)
-        else if owns_recorded o m then begin
-          (* Discipline checks only once the owner has completed its
-             acquisition bookkeeping: a direct hand-off (release_transfer)
-             names the new owner before that thread has run again. *)
-          (match m.m_protocol with
-          | Inherit_protocol -> (
-              match Wait_queue.highest_prio m.m_waiters with
-              | Some p when o.prio < p ->
-                  report
-                    (Printf.sprintf
-                       "inheritance discipline violated: %s holds %s at prio \
-                        %d while a waiter has prio %d"
-                       o.tname m.m_name o.prio p)
-              | Some _ | None -> ())
-          | Ceiling_protocol ->
-              if o.prio < m.m_ceiling then
-                report
-                  (Printf.sprintf
-                     "ceiling discipline violated: %s holds %s at prio %d \
-                      below ceiling %d"
-                     o.tname m.m_name o.prio m.m_ceiling)
-          | No_protocol -> ())
-        end
-    | _ -> ());
+    let o = m.m_owner in
+    if m.m_locked && o == nil_tcb then
+      report (m.m_name ^ " is locked but has no owner")
+    else if (not m.m_locked) && o != nil_tcb then
+      report (m.m_name ^ " has owner " ^ o.tname ^ " but is not locked");
+    if m.m_locked && o != nil_tcb then begin
+      if o.state = Terminated then
+        report
+          (Printf.sprintf "%s leaked: owner %s terminated while holding it"
+             m.m_name o.tname)
+      else if owns_recorded o m then
+        (* Discipline checks only once the owner has completed its
+           acquisition bookkeeping: a direct hand-off (release_transfer)
+           names the new owner before that thread has run again. *)
+        match m.m_protocol with
+        | Inherit_protocol ->
+            let p = Wait_queue.highest_prio m.m_waiters in
+            if o.prio < p then
+              report
+                (Printf.sprintf
+                   "inheritance discipline violated: %s holds %s at prio %d \
+                    while a waiter has prio %d"
+                   o.tname m.m_name o.prio p)
+        | Ceiling_protocol ->
+            if o.prio < m.m_ceiling then
+              report
+                (Printf.sprintf
+                   "ceiling discipline violated: %s holds %s at prio %d \
+                    below ceiling %d"
+                   o.tname m.m_name o.prio m.m_ceiling)
+        | No_protocol -> ()
+    end;
     Wait_queue.iter m.m_waiters (fun w ->
         match w.state with
         | Blocked (On_mutex m') when m' == m -> ()
@@ -56,7 +53,7 @@ let find_violation eng ~final =
     if final && m.m_locked then
       report
         (m.m_name ^ " still locked at process exit"
-        ^ match m.m_owner with Some o -> " (owner " ^ o.tname ^ ")" | None -> "")
+        ^ if o == nil_tcb then "" else " (owner " ^ o.tname ^ ")")
   in
   let check_cond c =
     (match c.c_mutex with
@@ -78,15 +75,13 @@ let find_violation eng ~final =
       report (Printf.sprintf "%s has out-of-range prio %d" t.tname t.prio);
     List.iter
       (fun m ->
-        (match m.m_owner with
-        | Some o when o == t -> ()
-        | _ ->
-            report
-              (Printf.sprintf "%s lists %s as held but is not its owner"
-                 t.tname m.m_name));
+        if m.m_owner != t then
+          report
+            (Printf.sprintf "%s lists %s as held but is not its owner"
+               t.tname m.m_name);
         if not m.m_locked then
           report (m.m_name ^ " is in an owned list but not locked"))
-      t.owned
+      (Tcb.owned_list t)
   in
   List.iter check_mutex (List.rev eng.all_mutexes);
   List.iter check_cond (List.rev eng.all_conds);

@@ -19,9 +19,8 @@ let wait_internal eng c m ~deadline =
   let self = Engine.current eng in
   Engine.touch eng (Engine.key_cond c.c_id);
   Engine.touch eng (Engine.key_mutex m.m_id);
-  (match m.m_owner with
-  | Some o when o == self -> ()
-  | _ -> raise (Error (Errno.EPERM, "Cond.wait: mutex " ^ m.m_name ^ " not held by caller")));
+  if m.m_owner != self then
+    raise (Error (Errno.EPERM, "Cond.wait: mutex " ^ m.m_name ^ " not held by caller"));
   Engine.enter_kernel eng;
   Engine.charge eng Costs.cond_op;
   (match c.c_mutex with
@@ -32,7 +31,7 @@ let wait_internal eng c m ~deadline =
   Mutex.release_in_kernel eng m;
   self.state <- Blocked (On_cond c);
   Wait_queue.push_tail c.c_waiters self;
-  Engine.trace eng self (Trace.Cond_block c.c_name);
+  if Engine.tracing eng then Engine.trace eng self (Trace.Cond_block c.c_name);
   let timer_id =
     match deadline with
     | Some d ->
@@ -82,11 +81,11 @@ let signal eng c =
   Engine.san_publish eng (Engine.key_cond c.c_id);
   Engine.enter_kernel eng;
   Engine.charge eng Costs.cond_op;
-  (match Wait_queue.peek_highest c.c_waiters with
-  | None -> ()
-  | Some w ->
-      Engine.trace eng w (Trace.Cond_wake c.c_name);
-      Engine.unblock eng w Wake_normal);
+  let w = Wait_queue.first c.c_waiters in
+  if w != nil_tcb then begin
+    if Engine.tracing eng then Engine.trace eng w (Trace.Cond_wake c.c_name);
+    Engine.unblock eng w Wake_normal
+  end;
   Engine.leave_kernel eng;
   Engine.drain_fake_calls eng
 
@@ -99,15 +98,15 @@ let broadcast eng c =
   (* the whole burst is one kernel-flag round: each waiter is made ready
      without a per-wake preemption test, then one test covers them all *)
   let rec wake_all best =
-    match Wait_queue.peek_highest c.c_waiters with
-    | None -> best
-    | Some w ->
-        Engine.trace eng w (Trace.Cond_wake c.c_name);
-        let best =
-          if Engine.unblock_core eng w Wake_normal then max best w.prio
-          else best
-        in
-        wake_all best
+    let w = Wait_queue.first c.c_waiters in
+    if w == nil_tcb then best
+    else begin
+      if Engine.tracing eng then Engine.trace eng w (Trace.Cond_wake c.c_name);
+      let best =
+        if Engine.unblock_core eng w Wake_normal then max best w.prio else best
+      in
+      wake_all best
+    end
   in
   Engine.flag_if_preempts eng (wake_all min_int);
   Engine.leave_kernel eng;

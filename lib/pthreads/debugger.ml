@@ -27,7 +27,7 @@ let snapshot t =
       List.fold_left (fun acc p -> Sigset.add acc p.p_signo) Sigset.empty
         t.thr_pending;
     ti_cancel_pending = t.cancel_pending;
-    ti_held_mutexes = List.map (fun m -> m.m_name) t.owned;
+    ti_held_mutexes = List.map (fun m -> m.m_name) (Tcb.owned_list t);
     ti_cleanup_depth = List.length t.cleanup;
     ti_switches_in = t.n_switches_in;
   }
@@ -76,11 +76,10 @@ let wait_edges eng =
   List.filter_map
     (fun t ->
       match t.state with
-      | Blocked (On_mutex m) -> (
-          match m.m_owner with
-          | Some o ->
-              Some { we_thread = snapshot t; we_mutex = m.m_name; we_owner = snapshot o }
-          | None -> None)
+      | Blocked (On_mutex m) ->
+          let o = m.m_owner in
+          if o == nil_tcb then None
+          else Some { we_thread = snapshot t; we_mutex = m.m_name; we_owner = snapshot o }
       | _ -> None)
     (Engine.thread_list eng)
 
@@ -89,8 +88,8 @@ let find_deadlocks eng =
      current walk is a cycle *)
   let next t =
     match t.state with
-    | Blocked (On_mutex m) -> (
-        match m.m_owner with Some o -> Some (m, o) | None -> None)
+    | Blocked (On_mutex m) ->
+        if m.m_owner == nil_tcb then None else Some (m, m.m_owner)
     | _ -> None
   in
   let cycles = ref [] in

@@ -9,6 +9,11 @@ let trace eng t kind =
   Trace.record eng.trace ~t_ns:(Unix_kernel.now eng.vm) ~tid:t.tid
     ~tname:t.tname kind
 
+(* Guard for events whose payload must be built (a name, a pair): the
+   lock/unlock and cond fast paths test this first so an untraced run
+   allocates nothing for them. *)
+let tracing eng = Trace.enabled eng.trace
+
 (* Every kernel-flag write funnels through here so that traced runs carry
    a Kernel_enter/Kernel_exit pair per monitor occupancy (the counter
    track behind the observability layer's kernel-flag timeline).  Traces
@@ -257,21 +262,21 @@ let rec set_effective_prio eng t new_prio ~at_head =
         else Ready_queue.push_tail eng t;
         if new_prio > eng.current.prio && eng.current.state = Running then
           eng.dispatcher_flag <- true
-    | Running -> (
+    | Running ->
         t.prio <- new_prio;
-        match Ready_queue.highest_prio eng with
-        | Some p when p > new_prio -> eng.dispatcher_flag <- true
-        | Some _ | None -> ())
-    | Blocked (On_mutex m) -> (
+        if Ready_queue.highest_prio eng > new_prio then
+          eng.dispatcher_flag <- true
+    | Blocked (On_mutex m) ->
         let old_prio = t.prio in
         t.prio <- new_prio;
         Wait_queue.reposition m.m_waiters t ~old_prio;
         (* Propagate an inheritance boost down the blocking chain. *)
-        match (m.m_owner, m.m_protocol) with
-        | Some o, Inherit_protocol when o.prio < new_prio ->
-            charge eng Costs.inherit_search_per_mutex;
-            set_effective_prio eng o new_prio ~at_head:true
-        | _ -> ())
+        let o = m.m_owner in
+        if o != nil_tcb && m.m_protocol = Inherit_protocol && o.prio < new_prio
+        then begin
+          charge eng Costs.inherit_search_per_mutex;
+          set_effective_prio eng o new_prio ~at_head:true
+        end
     | Blocked (On_cond c) ->
         let old_prio = t.prio in
         t.prio <- new_prio;
@@ -284,18 +289,15 @@ let rec set_effective_prio eng t new_prio ~at_head =
 
 let recompute_inherited_prio eng o =
   let cand =
-    List.fold_left
+    Tcb.fold_owned o
       (fun acc m ->
         charge eng Costs.inherit_search_per_mutex;
         match m.m_protocol with
-        | Inherit_protocol -> (
-            match Wait_queue.highest_prio m.m_waiters with
-            | Some p -> max acc p
-            | None -> acc)
+        | Inherit_protocol -> max acc (Wait_queue.highest_prio m.m_waiters)
         | Ceiling_protocol when eng.cfg.ceiling_mode = Recompute ->
             max acc m.m_ceiling
         | Ceiling_protocol | No_protocol -> acc)
-      o.base_prio o.owned
+      o.base_prio
   in
   set_effective_prio eng o cand ~at_head:true
 
@@ -401,12 +403,10 @@ let unblock_core eng t wake =
   match t.state with
   | Blocked reason ->
       (match reason with
-      | On_mutex m -> (
+      | On_mutex m ->
           Wait_queue.remove m.m_waiters t;
-          match m.m_owner with
-          | Some o when m.m_protocol = Inherit_protocol ->
-              recompute_inherited_prio eng o
-          | _ -> ())
+          if m.m_owner != nil_tcb && m.m_protocol = Inherit_protocol then
+            recompute_inherited_prio eng m.m_owner
       | On_cond c ->
           Wait_queue.remove c.c_waiters t;
           if Wait_queue.is_empty c.c_waiters then c.c_mutex <- None
@@ -754,15 +754,15 @@ let rec dispatch eng : wake =
     let cur = eng.current in
     let stay =
       match cur.state with
-      | Running -> (
-          match Ready_queue.highest_prio eng with
-          | Some p when p > cur.prio ->
-              (* preempted: the thread goes to the head of its level *)
-              cur.state <- Ready;
-              Ready_queue.push_head eng cur;
-              trace eng cur Trace.Ready;
-              false
-          | Some _ | None -> true)
+      | Running ->
+          if Ready_queue.highest_prio eng > cur.prio then begin
+            (* preempted: the thread goes to the head of its level *)
+            cur.state <- Ready;
+            Ready_queue.push_head eng cur;
+            trace eng cur Trace.Ready;
+            false
+          end
+          else true
       | Ready | Blocked _ | Terminated -> false
     in
     if stay then begin
@@ -991,13 +991,14 @@ let finish_current eng status =
   eng.live_count <- eng.live_count - 1;
   (match eng.san_hook with None -> () | Some h -> h San_exit);
   trace eng t Trace.Thread_exit;
-  if t.owned <> [] then trace eng t (Trace.Note "terminated while holding mutexes");
+  if t.owned != nil_mutex then
+    trace eng t (Trace.Note "terminated while holding mutexes");
   (* all joiners wake at once: one preemption test for the burst *)
   let rec wake_joiners best =
-    match Wait_queue.pop_highest t.joiners with
-    | Some j ->
-        wake_joiners (if unblock_core eng j Wake_normal then max best j.prio else best)
-    | None -> best
+    let j = Wait_queue.pop_highest t.joiners in
+    if j == nil_tcb then best
+    else
+      wake_joiners (if unblock_core eng j Wake_normal then max best j.prio else best)
   in
   flag_if_preempts eng (wake_joiners min_int);
   if t.detached then begin
@@ -1028,20 +1029,28 @@ let fiber_body eng t body () =
       t.state <- Terminated;
       eng.live_count <- eng.live_count - 1
 
+(* Every fiber of an engine runs under one handler, built once by [make]:
+   it answers [Suspend] with a preallocated closure, so a context switch
+   allocates only the continuation the effect captures (and its [Saved]
+   box), not a fresh handler closure per switch. *)
+let fiber_handler eng : (unit, unit) Effect.Deep.handler =
+  let on_suspend =
+    Some
+      (fun (k : (wake, unit) Effect.Deep.continuation) ->
+        eng.current.cont <- Saved k)
+  in
+  {
+    retc = (fun () -> ());
+    exnc = (fun e -> raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Suspend -> (on_suspend : ((a, unit) Effect.Deep.continuation -> unit) option)
+        | _ -> None);
+  }
+
 let start_fiber eng t body =
-  Effect.Deep.match_with (fiber_body eng t body) ()
-    {
-      retc = (fun () -> ());
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Suspend ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  eng.current.cont <- Saved k)
-          | _ -> None);
-    }
+  Effect.Deep.match_with (fiber_body eng t body) () eng.fiber_handler
 
 let resume_thread eng t =
   (* Switch hooks fire *before* the dispatch is committed: [t] is still
@@ -1083,7 +1092,7 @@ let run_scheduler eng =
       eng.dispatcher_flag <- false;
       if eng.stop_reason <> None then ()
       else begin
-        let next =
+        let t =
           match eng.explore_hook with
           | Some choose -> (
               (* exploration pick: candidates are every ready thread, in
@@ -1098,14 +1107,14 @@ let run_scheduler eng =
                      [])
               in
               match candidates with
-              | [] -> None
+              | [] -> nil_tcb
               | cs ->
                   let t = choose cs in
                   Ready_queue.remove eng t;
                   trace eng t
                     (Trace.Sched_decision
                        (List.map (fun c -> c.tid) cs, t.tid));
-                  Some t)
+                  t)
           | None ->
               if eng.pick_random_next then begin
                 eng.pick_random_next <- false;
@@ -1113,42 +1122,43 @@ let run_scheduler eng =
               end
               else Ready_queue.pop_highest eng
         in
-        match next with
-        | Some t ->
-            resume_thread eng t;
-            loop ()
-        | None -> (
-            (* everyone is blocked: advance the clock to the next timer or
-               I/O completion; with none, wake any sleeper whose deadline
-               passed while its (lost) alarm never arrived; otherwise the
-               process is deadlocked.  On a shared machine, the idle hook
-               arbitrates instead: another process may run first. *)
-            let engine_next =
-              match
-                (Unix_kernel.next_event_time eng.vm, sleep_next_deadline eng)
-              with
-              | Some a, Some b -> Some (min a b)
-              | (Some _ as s), None | None, (Some _ as s) -> s
-              | None, None -> None
-            in
-            match eng.idle_hook with
-            | Some hook ->
-                if hook engine_next then begin
-                  wake_expired_sleepers eng;
-                  loop ()
-                end
-                else
-                  eng.stop_reason <- Some (Deadlock (describe_blocked eng))
-            | None ->
-                (* the backend sleeps until the next event: the virtual one
-                   advances the clock to the deadline (deadlock when there
-                   is none); the Unix one blocks in select and may wake on
-                   external events even without a deadline *)
-                if eng.backend.Backend.wait ~deadline_ns:engine_next then begin
-                  wake_expired_sleepers eng;
-                  loop ()
-                end
-                else eng.stop_reason <- Some (Deadlock (describe_blocked eng)))
+        if t != nil_tcb then begin
+          resume_thread eng t;
+          loop ()
+        end
+        else begin
+          (* everyone is blocked: advance the clock to the next timer or
+             I/O completion; with none, wake any sleeper whose deadline
+             passed while its (lost) alarm never arrived; otherwise the
+             process is deadlocked.  On a shared machine, the idle hook
+             arbitrates instead: another process may run first. *)
+          let engine_next =
+            match
+              (Unix_kernel.next_event_time eng.vm, sleep_next_deadline eng)
+            with
+            | Some a, Some b -> Some (min a b)
+            | (Some _ as s), None | None, (Some _ as s) -> s
+            | None, None -> None
+          in
+          match eng.idle_hook with
+          | Some hook ->
+              if hook engine_next then begin
+                wake_expired_sleepers eng;
+                loop ()
+              end
+              else
+                eng.stop_reason <- Some (Deadlock (describe_blocked eng))
+          | None ->
+              (* the backend sleeps until the next event: the virtual one
+                 advances the clock to the deadline (deadlock when there
+                 is none); the Unix one blocks in select and may wake on
+                 external events even without a deadline *)
+              if eng.backend.Backend.wait ~deadline_ns:engine_next then begin
+                wake_expired_sleepers eng;
+                loop ()
+              end
+              else eng.stop_reason <- Some (Deadlock (describe_blocked eng))
+        end
       end
     end
   in
@@ -1288,6 +1298,8 @@ let make ?clock ?backend cfg ~main =
       tsd_next = 0;
       stop_reason = None;
       in_fiber = false;
+      fiber_handler =
+        { retc = (fun () -> ()); exnc = raise; effc = (fun _ -> None) };
       switch_hooks = [];
       idle_hook = None;
       explore_hook = None;
@@ -1301,6 +1313,7 @@ let make ?clock ?backend cfg ~main =
       shard_state = Ext_none;
     }
   in
+  eng.fiber_handler <- fiber_handler eng;
   (* Library initialization: a universal handler for all maskable UNIX
      signals, benign defaults for the signals whose UNIX default is to be
      ignored, the TCB/stack pool, the time-slice timer, main's stack. *)

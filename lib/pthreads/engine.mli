@@ -184,6 +184,10 @@ val busy : engine -> ns:int -> unit
 
 val trace : engine -> tcb -> Vm.Trace.kind -> unit
 
+val tracing : engine -> bool
+(** Whether the trace is recording: a caller whose event carries a payload
+    (a name) tests this first, so an untraced run builds none. *)
+
 val add_switch_hook : engine -> (tcb -> unit) -> unit
 (** Register a callback invoked at every dispatch with the thread being
     switched in.  Ordering contract: hooks fire {e before} the dispatch

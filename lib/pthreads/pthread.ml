@@ -247,7 +247,7 @@ let set_priority eng tid prio =
       t.base_prio <- prio;
       let effective =
         (* a protocol boost cannot be lowered from outside *)
-        if t.owned = [] && t.boost_stack = [] then prio else max t.prio prio
+        if t.owned == nil_mutex && t.boost_stack = [] then prio else max t.prio prio
       in
       Engine.set_effective_prio eng t effective ~at_head:false);
   Engine.leave_kernel eng;

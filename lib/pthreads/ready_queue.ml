@@ -1,10 +1,11 @@
 open Types
 module Rng = Import.Rng
 
-(* The ready structure is one [Wait_queue.pq]: 32 intrusive FIFO deques
-   plus a bitmap of non-empty levels.  Every operation below is O(1)
-   except [pop_random], which the perverted random policy pays O(n) for a
-   single walk (it used to be O(n^2): List.nth + List.filter per level). *)
+(* The ready structure is one [Wait_queue.pq]: intrusive FIFO deques per
+   priority plus a bitmap of non-empty levels.  Every operation below is
+   O(1) except [pop_random], which the perverted random policy pays O(n)
+   for a single walk (it used to be O(n^2): List.nth + List.filter per
+   level). *)
 
 let push_tail eng t = Wait_queue.push_tail eng.ready t
 let push_head eng t = Wait_queue.push_head eng.ready t
@@ -18,17 +19,17 @@ let iter eng f = Wait_queue.iter eng.ready f
 let pop_random eng rng =
   let q = eng.ready in
   let n = Wait_queue.size q in
-  if n = 0 then None
+  if n = 0 then nil_tcb
   else begin
     let idx = Rng.int rng n in
     (* Walk levels top-down counting until the chosen index — the same
        order the list implementation counted in, so identical seeds pick
        identical threads. *)
-    let found = ref None in
+    let found = ref nil_tcb in
     let seen = ref 0 in
     let p = ref max_prio in
-    while !found = None && !p >= min_prio do
-      let l = q.pq_levels.(!p) in
+    while !found == nil_tcb && !p >= min_prio do
+      let l = Wait_queue.level q !p in
       if idx < !seen + l.lv_len then begin
         let t = ref l.lv_head in
         for _ = 1 to idx - !seen do
@@ -36,7 +37,7 @@ let pop_random eng rng =
         done;
         assert (!t != nil_tcb);
         Wait_queue.remove q !t;
-        found := Some !t
+        found := !t
       end
       else seen := !seen + l.lv_len;
       decr p

@@ -22,13 +22,15 @@ val push_tail_lowest : engine -> tcb -> unit
 val remove : engine -> tcb -> unit
 (** Remove the thread wherever it is queued (priority changes). *)
 
-val highest_prio : engine -> int option
-(** Priority level of the best ready thread, if any. *)
+val highest_prio : engine -> int
+(** Priority level of the best ready thread; [-1] when none is ready. *)
 
-val pop_highest : engine -> tcb option
+val pop_highest : engine -> tcb
+(** The next thread to run, dequeued; [nil_tcb] when none is ready. *)
 
-val pop_random : engine -> Vm.Rng.t -> tcb option
-(** Remove a uniformly random ready thread (perverted random switch). *)
+val pop_random : engine -> Vm.Rng.t -> tcb
+(** Remove a uniformly random ready thread (perverted random switch);
+    [nil_tcb] when none is ready. *)
 
 val size : engine -> int
 

@@ -25,7 +25,7 @@ let make ~tid ~name ~prio ~detached ~body ~deferred =
     joiners = Wait_queue.create ();
     cont = Not_started body;
     pending_wake = Wake_normal;
-    owned = [];
+    owned = nil_mutex;
     sched_override = None;
     suspended = false;
     wait_deadline = no_deadline;
@@ -37,6 +37,14 @@ let make ~tid ~name ~prio ~detached ~body ~deferred =
     at_next = None;
     at_prev = None;
   }
+
+(* The held mutexes, newest first, walked through the intrusive
+   [m_owned_next] links without building a list. *)
+let fold_owned t f acc =
+  let rec go acc m = if m == nil_mutex then acc else go (f acc m) m.m_owned_next in
+  go acc t.owned
+
+let owned_list t = List.rev (fold_owned t (fun acc m -> m :: acc) [])
 
 let is_blocked t = match t.state with Blocked _ -> true | _ -> false
 

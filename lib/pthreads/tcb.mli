@@ -13,6 +13,13 @@ val make :
 (** A fresh TCB in [Ready] state (or [Blocked On_start] when [deferred],
     the paper's lazy-creation extension). *)
 
+val fold_owned : tcb -> ('a -> mutex -> 'a) -> 'a -> 'a
+(** Fold over the mutexes the thread holds, newest first (the intrusive
+    [owned]/[m_owned_next] list), allocating nothing. *)
+
+val owned_list : tcb -> mutex list
+(** The held mutexes as a list, newest first. *)
+
 val is_blocked : tcb -> bool
 val is_live : tcb -> bool
 (** Not terminated. *)

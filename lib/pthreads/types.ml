@@ -117,7 +117,10 @@ and tcb = {
   joiners : pq;  (** threads blocked joining this one *)
   mutable cont : cont_state;
   mutable pending_wake : wake;
-  mutable owned : mutex list;  (** mutexes currently held (for inheritance) *)
+  mutable owned : mutex;
+      (** mutexes currently held (for inheritance), newest first: an
+          intrusive list threaded through [m_owned_next], [nil_mutex] when
+          none — a lock takes no cons cell *)
   mutable sched_override : per_thread_sched option;
       (** POSIX per-thread policy: overrides the process policy's
           time-slicing behaviour for this thread *)
@@ -154,13 +157,21 @@ and tcb = {
     dispatcher's ready structure and for every waiter queue (mutex, cond,
     join), giving O(1) push/pop/remove and O(1) highest-priority lookup
     (highest-set-bit over [n_prios] bits).  Operations live in
-    [Wait_queue]; [Ready_queue] wraps the engine's instance. *)
+    [Wait_queue]; [Ready_queue] wraps the engine's instance.
+
+    Nearly every waiter queue only ever holds one priority at a time, so
+    a queue starts with a single level, [pq_one], and builds the
+    [n_prios]-slot [pq_levels] array only when a second, different
+    priority is queued alongside the first.  Both are lazy: a queue
+    nobody pushed onto is just its own five-word record. *)
 and pq = {
+  mutable pq_one : pq_level;
+      (** one-level mode ([pq_levels] empty): the only level, holding every
+          queued thread; its priority is the one set bit of [pq_bits].
+          [nil_level] until the first push. *)
   mutable pq_levels : pq_level array;
-      (** length [n_prios], index = priority; lazily allocated — [[||]]
-          until the first push.  Every TCB owns a [joiners] queue and most
-          are never joined while queued on, so the eager 32-level array was
-          a large slice of the per-thread footprint. *)
+      (** bucket mode: length [n_prios], index = priority, [nil_level]
+          in slots never used; [[||]] in one-level mode *)
   mutable pq_bits : int;  (** bit [p] set iff level [p] is non-empty *)
   mutable pq_size : int;  (** maintained element count *)
 }
@@ -182,7 +193,10 @@ and mutex = {
   m_protocol : mutex_protocol;
   mutable m_ceiling : int;
   mutable m_locked : bool;
-  mutable m_owner : tcb option;
+  mutable m_owner : tcb;  (** [nil_tcb] when unlocked *)
+  mutable m_owned_next : mutex;
+      (** next (older) mutex in the owner's [owned] list; [nil_mutex] at
+          the end and while unlocked *)
   m_waiters : pq;  (** priority order, FIFO within a level *)
   mutable m_locks : int;  (** statistics *)
   mutable m_contended : int;
@@ -208,12 +222,29 @@ and pending_sig = { p_signo : signo; p_code : int; p_origin : Unix_kernel.origin
 
 and univ = exn  (** universal type for thread-specific data values *)
 
-(** Sentinels terminating the intrusive queue links.  [nil_pq] doubles as
-    "not queued" for [tcb.q_in]; both are compared with physical equality
-    only and never enqueued or dequeued themselves. *)
-let nil_pq = { pq_levels = [||]; pq_bits = 0; pq_size = 0 }
+(** Sentinels terminating the intrusive links.  [nil_pq] doubles as "not
+    queued" for [tcb.q_in], [nil_level] as "not built yet" for a queue's
+    levels, [nil_tcb] as "no owner" for [m_owner] and [nil_mutex] as "holds
+    nothing" for [tcb.owned].  All are compared with physical equality
+    only and never written through. *)
+let rec nil_pq = { pq_one = nil_level; pq_levels = [||]; pq_bits = 0; pq_size = 0 }
+and nil_level = { lv_head = nil_tcb; lv_tail = nil_tcb; lv_len = 0 }
 
-let rec nil_tcb =
+and nil_mutex =
+  {
+    m_id = -1;
+    m_name = "<nil>";
+    m_protocol = No_protocol;
+    m_ceiling = 0;
+    m_locked = false;
+    m_owner = nil_tcb;
+    m_owned_next = nil_mutex;
+    m_waiters = nil_pq;
+    m_locks = 0;
+    m_contended = 0;
+  }
+
+and nil_tcb =
   {
     tid = -1;
     tname = "<nil>";
@@ -237,7 +268,7 @@ let rec nil_tcb =
     joiners = nil_pq;
     cont = No_cont;
     pending_wake = Wake_normal;
-    owned = [];
+    owned = nil_mutex;
     sched_override = None;
     suspended = false;
     wait_deadline = max_int;
@@ -369,6 +400,9 @@ type engine = {
   mutable tsd_next : int;
   mutable stop_reason : stop_reason option;
   mutable in_fiber : bool;  (** false while the scheduler loop itself runs *)
+  mutable fiber_handler : (unit, unit) Effect.Deep.handler;
+      (** the effect handler every fiber of this engine runs under, built
+          once by [Engine.make] *)
   mutable switch_hooks : (tcb -> unit) list;
       (** called on every dispatch with the thread switched in — the
           paper's "context switches could become visible to the user".

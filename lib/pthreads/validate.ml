@@ -28,7 +28,7 @@ let check_dispatch mon t =
   if eng.kernel_flag then
     report mon "monitor" "kernel flag held across a context switch";
   (match (eng.cfg.perverted, Ready_queue.highest_prio eng) with
-  | No_perversion, Some p when p > t.prio && not (Engine.exploring eng) ->
+  | No_perversion, p when p > t.prio && not (Engine.exploring eng) ->
       (* the explorer deliberately dispatches out of priority order *)
       report mon "priority"
         (Printf.sprintf "%s (prio %d) dispatched while a ready thread has %d"
@@ -38,12 +38,10 @@ let check_dispatch mon t =
   Engine.iter_threads eng (fun th ->
       List.iter
         (fun m ->
-          (match m.m_owner with
-          | Some o when o == th -> ()
-          | _ ->
-              report mon "ownership"
-                (Printf.sprintf "%s lists %s as held but is not its owner"
-                   th.tname m.m_name));
+          if m.m_owner != th then
+            report mon "ownership"
+              (Printf.sprintf "%s lists %s as held but is not its owner"
+                 th.tname m.m_name);
           if not m.m_locked then
             report mon "ownership" (m.m_name ^ " is owned but not locked");
           Wait_queue.iter m.m_waiters (fun w ->
@@ -53,7 +51,7 @@ let check_dispatch mon t =
                   report mon "waiters"
                     (Printf.sprintf "%s queued on %s but in state %s" w.tname
                        m.m_name (state_name w.state))))
-        th.owned)
+        (Tcb.owned_list th))
 
 let install eng =
   let mon = { eng; found = []; checks = 0 } in

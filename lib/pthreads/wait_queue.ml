@@ -23,17 +23,46 @@ let highest_bit x =
   if !x land 0x2 <> 0 then incr n;
   !n
 
-(* Level arrays are allocated on first push: a pq is three words until
-   someone actually queues on it, which is what keeps per-TCB [joiners]
-   queues off the million-thread memory budget. *)
-let create () = { pq_levels = [||]; pq_bits = 0; pq_size = 0 }
+(* A queue starts in one-level mode and spreads into per-priority buckets
+   the first time a second priority is queued alongside the first; it never
+   goes back (the ready queue would otherwise rebuild its array on every
+   priority mix).  Levels are allocated on first use in either mode, so a
+   queue nobody pushed onto costs no more than its own record — which is
+   what keeps per-TCB [joiners] queues off the million-thread budget. *)
+let create () = { pq_one = nil_level; pq_levels = [||]; pq_bits = 0; pq_size = 0 }
 
-let levels q =
-  if Array.length q.pq_levels = 0 then
-    q.pq_levels <-
-      Array.init n_prios (fun _ ->
-          { lv_head = nil_tcb; lv_tail = nil_tcb; lv_len = 0 });
-  q.pq_levels
+let new_level () = { lv_head = nil_tcb; lv_tail = nil_tcb; lv_len = 0 }
+
+(* The one accessor every reader goes through: the level holding priority
+   [p], or [nil_level] (empty, never written) when there is none. *)
+let level q p =
+  if Array.length q.pq_levels > 0 then q.pq_levels.(p)
+  else if q.pq_bits land (1 lsl p) <> 0 then q.pq_one
+  else nil_level
+
+(* The level a push at priority [p] writes to, built if needed. *)
+let rec level_for_push q p =
+  if Array.length q.pq_levels > 0 then begin
+    let l = q.pq_levels.(p) in
+    if l != nil_level then l
+    else begin
+      let l = new_level () in
+      q.pq_levels.(p) <- l;
+      l
+    end
+  end
+  else if q.pq_bits = 0 || q.pq_bits = 1 lsl p then begin
+    if q.pq_one == nil_level then q.pq_one <- new_level ();
+    q.pq_one
+  end
+  else begin
+    (* a second priority: spread into buckets, keeping the occupied level *)
+    let levels = Array.make n_prios nil_level in
+    levels.(highest_bit q.pq_bits) <- q.pq_one;
+    q.pq_one <- nil_level;
+    q.pq_levels <- levels;
+    level_for_push q p
+  end
 
 let size q = q.pq_size
 let is_empty q = q.pq_size = 0
@@ -48,7 +77,7 @@ let check_free t =
 
 let push_tail_at q t level =
   check_free t;
-  let l = (levels q).(level) in
+  let l = level_for_push q level in
   t.q_in <- q;
   t.q_level <- level;
   t.q_next <- nil_tcb;
@@ -61,7 +90,7 @@ let push_tail_at q t level =
 
 let push_head_at q t level =
   check_free t;
-  let l = (levels q).(level) in
+  let l = level_for_push q level in
   t.q_in <- q;
   t.q_level <- level;
   t.q_prev <- nil_tcb;
@@ -77,7 +106,7 @@ let push_head q t = push_head_at q t t.prio
 
 let remove q t =
   if t.q_in == q then begin
-    let l = q.pq_levels.(t.q_level) in
+    let l = level q t.q_level in
     if t.q_prev != nil_tcb then t.q_prev.q_next <- t.q_next
     else l.lv_head <- t.q_next;
     if t.q_next != nil_tcb then t.q_next.q_prev <- t.q_prev
@@ -90,20 +119,15 @@ let remove q t =
     t.q_next <- nil_tcb
   end
 
-let highest_prio q =
-  if q.pq_bits = 0 then None else Some (highest_bit q.pq_bits)
+let highest_prio q = if q.pq_bits = 0 then -1 else highest_bit q.pq_bits
 
-let peek_highest q =
-  if q.pq_bits = 0 then None
-  else Some q.pq_levels.(highest_bit q.pq_bits).lv_head
+let first q =
+  if q.pq_bits = 0 then nil_tcb else (level q (highest_bit q.pq_bits)).lv_head
 
 let pop_highest q =
-  if q.pq_bits = 0 then None
-  else begin
-    let t = q.pq_levels.(highest_bit q.pq_bits).lv_head in
-    remove q t;
-    Some t
-  end
+  let t = first q in
+  if t != nil_tcb then remove q t;
+  t
 
 (* Relink after [t.prio] changed from [old_prio] (already updated on the
    TCB).  Reproduces what [List.stable_sort] on a priority-sorted list did:
@@ -125,7 +149,7 @@ let iter q f =
           go next
         end
       in
-      go q.pq_levels.(p).lv_head
+      go (level q p).lv_head
     done
 
 let fold q f acc =

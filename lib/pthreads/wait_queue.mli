@@ -9,6 +9,13 @@
     cells are allocated on the hot path — the FSU-pthreads design the paper
     relies on for its "library kernel is cheap" claim.
 
+    A queue holds a single inline level until two different priorities are
+    queued at once; only then is the [n_prios]-slot level array built, and
+    even then a level is allocated only for a priority actually used.  A
+    queue that only ever sees one priority at a time allocates one level,
+    once.  Lookups return sentinels ([nil_tcb], [-1]) rather than options,
+    so no operation allocates after a level exists.
+
     A thread can be a member of at most one queue at a time; pushing a
     queued thread raises [Invalid_argument]. *)
 
@@ -33,13 +40,24 @@ val push_head_at : pq -> tcb -> int -> unit
 val remove : pq -> tcb -> unit
 (** Unlink wherever the thread sits; no-op if it is not in this queue. *)
 
-val pop_highest : pq -> tcb option
-(** Dequeue the head of the highest non-empty bucket. *)
+val pop_highest : pq -> tcb
+(** Dequeue the head of the highest non-empty bucket; [nil_tcb] when the
+    queue is empty. *)
 
-val peek_highest : pq -> tcb option
+val first : pq -> tcb
+(** The head of the highest non-empty bucket, left queued; [nil_tcb] when
+    the queue is empty. *)
 
-val highest_prio : pq -> int option
-(** Bucket index of the best queued thread, if any. *)
+val highest_prio : pq -> int
+(** Bucket index of the best queued thread; [-1] when the queue is empty
+    (below every priority, so [highest_prio q > p] reads "someone queued
+    outranks [p]"). *)
+
+val level : pq -> int -> pq_level
+(** The level holding bucket [p]: its head, tail and length.  [nil_level]
+    (empty; never to be written) when the bucket was never built or, in
+    one-level mode, holds another priority.  The one way readers outside
+    this module walk a queue level by level. *)
 
 val reposition : pq -> tcb -> old_prio:int -> unit
 (** Relink a member whose [prio] just changed from [old_prio]: a rising

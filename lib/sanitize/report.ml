@@ -71,10 +71,11 @@ let summary r =
 (* ------------------------------------------------------------------ *)
 
 (* Names become single tokens: anything that would break the positional
-   split is folded to '_'. *)
+   split or the line structure is folded to '_'. *)
 let tok s =
   String.map
-    (fun c -> match c with ' ' | '\t' | '{' | '}' | ',' -> '_' | c -> c)
+    (fun c ->
+      match c with ' ' | '\t' | '\n' | '\r' | '{' | '}' | ',' -> '_' | c -> c)
     (if s = "" then "_" else s)
 
 let held_to_string held = "{" ^ String.concat "," (List.map tok held) ^ "}"

@@ -6,7 +6,7 @@ module type S = sig
   val now : t -> int
   val advance : t -> int -> unit
   val insns : t -> int -> unit
-  val trap : t -> name:string -> ?extra_ns:int -> (unit -> 'a) -> 'a
+  val trap : t -> ?extra_ns:int -> Unix_kernel.syscall -> unit
   val getpid : t -> int
   val sbrk : t -> int -> unit
   val sigaction : t -> Sigset.signo -> Unix_kernel.disposition -> unit

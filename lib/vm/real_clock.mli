@@ -1,4 +1,5 @@
-(** Host wall-clock time, in the units the rest of the system uses.
+(** Host monotonic time ([CLOCK_MONOTONIC]), in the units the rest of the
+    system uses.
 
     The only module outside {!Real_kernel} that should touch host time:
     everything else reads the {!Clock} of its kernel (virtual backends) or
@@ -6,8 +7,9 @@
     Bench harnesses use it for wall-clock budgets. *)
 
 val now_ns : unit -> int
-(** Nanoseconds since an arbitrary but fixed origin (process start), from
-    the host's clock.  Monotone non-decreasing within a process. *)
+(** Nanoseconds since a fixed origin (process start), from the host's
+    monotonic clock: never decreases, whatever happens to the wall clock.
+    Allocates nothing. *)
 
 val now_s : unit -> float
 (** Seconds, same origin — for wall-clock budgets and rate reports. *)

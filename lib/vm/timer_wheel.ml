@@ -164,10 +164,11 @@ let disarm w id =
       w.n_armed <- w.n_armed - 1;
       true
 
-(* Earliest occupied-slot deadline and its level.  Scanning levels upward
-   with [<=] makes the highest level win ties — the cascade-before-fire
-   order that keeps same-deadline batches id-sorted. *)
-let find_min w =
+(* The level holding the earliest occupied-slot deadline ([-1] when the
+   wheel is empty); its deadline is [level_min.(l)].  Scanning levels
+   upward with [<=] makes the highest level win ties — the
+   cascade-before-fire order that keeps same-deadline batches id-sorted. *)
+let min_level w =
   let best_d = ref max_int and best_l = ref (-1) in
   for l = 0 to levels - 1 do
     let m = w.level_min.(l) in
@@ -176,10 +177,11 @@ let find_min w =
       best_l := l
     end
   done;
-  if !best_l < 0 then None else Some (!best_d, !best_l)
+  !best_l
 
 let next_expiry w =
-  match find_min w with None -> None | Some (d, _) -> Some d
+  let l = min_level w in
+  if l < 0 then None else Some w.level_min.(l)
 
 let min_slot w l =
   let bits = w.bitmaps.(l) and dl = w.deadlines.(l) in
@@ -242,16 +244,13 @@ let fire_bucket w ~now ~fire head =
       fire ~id:r.id r.payload)
     batch
 
-let advance w ~now ~fire =
-  let rec loop () =
-    match find_min w with
-    | Some (d, l) when d <= now ->
-        let s = min_slot w l in
-        let head = detach_bucket w l s in
-        if d > w.current then w.current <- d;
-        if l = 0 then fire_bucket w ~now ~fire head else cascade w head;
-        loop ()
-    | _ -> ()
-  in
-  loop ();
-  if now > w.current then w.current <- now
+let rec advance w ~now ~fire =
+  let l = min_level w in
+  if l >= 0 && w.level_min.(l) <= now then begin
+    let d = w.level_min.(l) in
+    let head = detach_bucket w l (min_slot w l) in
+    if d > w.current then w.current <- d;
+    if l = 0 then fire_bucket w ~now ~fire head else cascade w head;
+    advance w ~now ~fire
+  end
+  else if now > w.current then w.current <- now

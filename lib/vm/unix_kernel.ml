@@ -16,6 +16,37 @@ type pending_info = { code : int; origin : origin }
 
 type io_req = { complete_at : int; requester : int }
 
+type syscall =
+  | Getpid
+  | Sbrk
+  | Sigaction
+  | Sigsetmask
+  | Kill
+  | Sigpause
+  | Setitimer
+  | Read
+  | Aioread
+  | Write
+
+let syscall_index = function
+  | Getpid -> 0
+  | Sbrk -> 1
+  | Sigaction -> 2
+  | Sigsetmask -> 3
+  | Kill -> 4
+  | Sigpause -> 5
+  | Setitimer -> 6
+  | Read -> 7
+  | Aioread -> 8
+  | Write -> 9
+
+(* Indexed by [syscall_index]. *)
+let syscall_names =
+  [| "getpid"; "sbrk"; "sigaction"; "sigsetmask"; "kill"; "sigpause";
+     "setitimer"; "read"; "aioread"; "write" |]
+
+let syscall_name call = syscall_names.(syscall_index call)
+
 type t = {
   prof : Cost_model.profile;
   clk : Clock.t;
@@ -29,12 +60,15 @@ type t = {
      every checkpoint into a linear scan.  The payload is what expiry
      posts: (signo, origin). *)
   timers : (Sigset.signo * origin) Timer_wheel.t;
+  (* What expiry does with a payload, built once so [check_events] — run at
+     every checkpoint — passes the wheel a closure without allocating one. *)
+  fire : id:int -> Sigset.signo * origin -> unit;
   mutable io_queue : io_req list;
   (* Earliest [complete_at] in [io_queue] ([max_int] when empty), so
      [check_events] can skip the completion scan when nothing is due. *)
   mutable io_next : int;
   io_completions : (int, int) Hashtbl.t;  (* requester -> unconsumed count *)
-  traps_by_name : (string, int) Hashtbl.t;
+  traps_by_kind : int array;  (* indexed by [syscall_index] *)
   mutable traps_total : int;
   mutable n_sigsetmask : int;
   mutable n_posted : int;
@@ -49,30 +83,43 @@ type t = {
 exception Trap_fault of string * int
 (* [Trap_fault (trap_name, errno)]: an injected syscall failure. *)
 
+let post_signal t signo ?(code = 0) ~origin () =
+  assert (Sigset.is_valid signo);
+  t.n_posted <- t.n_posted + 1;
+  match t.pending_set.(signo) with
+  | Some _ -> t.n_lost <- t.n_lost + 1 (* BSD: not queued, dropped *)
+  | None ->
+      t.pending_set.(signo) <- Some { code; origin };
+      t.n_pending <- t.n_pending + 1
+
 let create ?clock prof =
-  {
-    prof;
-    clk = (match clock with Some c -> c | None -> Clock.create ());
-    pid = 1001;
-    dispositions = Array.make (Sigset.max_signo + 1) Default;
-    mask = Sigset.empty;
-    pending_set = Array.make (Sigset.max_signo + 1) None;
-    n_pending = 0;
-    timers = Timer_wheel.create ();
-    io_queue = [];
-    io_next = max_int;
-    io_completions = Hashtbl.create 8;
-    traps_by_name = Hashtbl.create 16;
-    traps_total = 0;
-    n_sigsetmask = 0;
-    n_posted = 0;
-    n_lost = 0;
-    n_delivered = 0;
-    n_window_traps = 0;
-    blocked_io_ns = 0;
-    trap_fault_hook = None;
-    n_trap_faults = 0;
-  }
+  let rec t =
+    {
+      prof;
+      clk = (match clock with Some c -> c | None -> Clock.create ());
+      pid = 1001;
+      dispositions = Array.make (Sigset.max_signo + 1) Default;
+      mask = Sigset.empty;
+      pending_set = Array.make (Sigset.max_signo + 1) None;
+      n_pending = 0;
+      timers = Timer_wheel.create ();
+      fire = (fun ~id:_ (signo, origin) -> post_signal t signo ~origin ());
+      io_queue = [];
+      io_next = max_int;
+      io_completions = Hashtbl.create 8;
+      traps_by_kind = Array.make (Array.length syscall_names) 0;
+      traps_total = 0;
+      n_sigsetmask = 0;
+      n_posted = 0;
+      n_lost = 0;
+      n_delivered = 0;
+      n_window_traps = 0;
+      blocked_io_ns = 0;
+      trap_fault_hook = None;
+      n_trap_faults = 0;
+    }
+  in
+  t
 
 let profile t = t.prof
 let clock t = t.clk
@@ -80,32 +127,31 @@ let now t = Clock.now t.clk
 let advance t ns = Clock.advance t.clk ns
 let insns t n = advance t (Cost_model.insns t.prof n)
 
-let count_trap t name =
+let trap t ?(extra_ns = 0) call =
+  let i = syscall_index call in
   t.traps_total <- t.traps_total + 1;
-  let prev = Option.value ~default:0 (Hashtbl.find_opt t.traps_by_name name) in
-  Hashtbl.replace t.traps_by_name name (prev + 1)
-
-let trap t ~name ?(extra_ns = 0) f =
-  count_trap t name;
+  t.traps_by_kind.(i) <- t.traps_by_kind.(i) + 1;
   advance t (t.prof.Cost_model.kernel_trap_ns + extra_ns);
   (* The fault injector may decide this trap fails (EINTR and friends): the
      trap is charged and counted, but the operation itself never runs. *)
-  (match t.trap_fault_hook with
+  match t.trap_fault_hook with
   | Some hook -> (
+      let name = syscall_name call in
       match hook name with
       | Some errno ->
           t.n_trap_faults <- t.n_trap_faults + 1;
           raise (Trap_fault (name, errno))
       | None -> ())
-  | None -> ());
-  f ()
+  | None -> ()
 
 let set_trap_fault_hook t h = t.trap_fault_hook <- h
 let trap_faults t = t.n_trap_faults
 
-let getpid t = trap t ~name:"getpid" (fun () -> t.pid)
+let getpid t =
+  trap t Getpid;
+  t.pid
 
-let sbrk t _bytes = trap t ~name:"sbrk" ~extra_ns:t.prof.Cost_model.sbrk_ns ignore
+let sbrk t _bytes = trap t ~extra_ns:t.prof.Cost_model.sbrk_ns Sbrk
 
 let flush_windows t =
   t.n_window_traps <- t.n_window_traps + 1;
@@ -119,30 +165,23 @@ let window_underflow t =
 
 let sigaction t signo disp =
   assert (Sigset.is_valid signo);
-  trap t ~name:"sigaction" (fun () -> t.dispositions.(signo) <- disp)
+  trap t Sigaction;
+  t.dispositions.(signo) <- disp
 
 let disposition t signo = t.dispositions.(signo)
 
 let sigsetmask t mask =
   t.n_sigsetmask <- t.n_sigsetmask + 1;
-  trap t ~name:"sigsetmask" (fun () ->
-      let old = t.mask in
-      t.mask <- mask;
-      old)
+  trap t Sigsetmask;
+  let old = t.mask in
+  t.mask <- mask;
+  old
 
 let proc_mask t = t.mask
 
-let post_signal t signo ?(code = 0) ~origin () =
-  assert (Sigset.is_valid signo);
-  t.n_posted <- t.n_posted + 1;
-  match t.pending_set.(signo) with
-  | Some _ -> t.n_lost <- t.n_lost + 1 (* BSD: not queued, dropped *)
-  | None ->
-      t.pending_set.(signo) <- Some { code; origin };
-      t.n_pending <- t.n_pending + 1
-
 let kill t signo ?code ~origin () =
-  trap t ~name:"kill" (fun () -> post_signal t signo ?code ~origin ())
+  trap t Kill;
+  post_signal t signo ?code ~origin ()
 
 let pending t =
   let set = ref Sigset.empty in
@@ -200,13 +239,12 @@ let deliver_pending t =
 (* Timers and asynchronous I/O --------------------------------------- *)
 
 let arm_timer t ~after_ns ~interval_ns ~signo ~origin =
-  trap t ~name:"setitimer" (fun () ->
-      Timer_wheel.arm t.timers ~now:(now t) ~after_ns ~interval_ns
-        (signo, origin))
+  trap t Setitimer;
+  Timer_wheel.arm t.timers ~now:(now t) ~after_ns ~interval_ns (signo, origin)
 
 let disarm_timer t id =
-  trap t ~name:"setitimer" (fun () ->
-      ignore (Timer_wheel.disarm t.timers id : bool))
+  trap t Setitimer;
+  ignore (Timer_wheel.disarm t.timers id : bool)
 
 (* Pure observation — no trap, no time charge: used by tests to assert a
    completed wait left nothing armed. *)
@@ -215,26 +253,26 @@ let armed_timer_peak t = Timer_wheel.peak_armed t.timers
 let timer_cascades t = Timer_wheel.cascades t.timers
 
 let blocking_read t ~latency_ns =
-  trap t ~name:"read" (fun () ->
-      (* the process sleeps in the kernel: nothing else can run *)
-      advance t latency_ns;
-      t.blocked_io_ns <- t.blocked_io_ns + latency_ns)
+  trap t Read;
+  (* the process sleeps in the kernel: nothing else can run *)
+  advance t latency_ns;
+  t.blocked_io_ns <- t.blocked_io_ns + latency_ns
 
 let blocking_io_ns t = t.blocked_io_ns
 
 let submit_io t ~latency_ns ~requester =
-  trap t ~name:"aioread" (fun () ->
-      let complete_at = now t + latency_ns in
-      t.io_queue <- { complete_at; requester } :: t.io_queue;
-      if complete_at < t.io_next then t.io_next <- complete_at)
+  trap t Aioread;
+  let complete_at = now t + latency_ns in
+  t.io_queue <- { complete_at; requester } :: t.io_queue;
+  if complete_at < t.io_next then t.io_next <- complete_at
 
 let check_events t =
   let time = now t in
   (* Timers: the wheel fires everything due, in (expiry, id) order — a
      deterministic order the prepend-to-a-list representation could not
-     give (it fired same-tick timers in reverse-arm order). *)
-  Timer_wheel.advance t.timers ~now:time ~fire:(fun ~id:_ (signo, origin) ->
-      post_signal t signo ~origin ());
+     give (it fired same-tick timers in reverse-arm order).  With nothing
+     due this is one scan of the levels' minima: no allocation. *)
+  Timer_wheel.advance t.timers ~now:time ~fire:t.fire;
   if t.io_next <= time then begin
     let done_, waiting =
       List.partition (fun io -> io.complete_at <= time) t.io_queue
@@ -295,7 +333,8 @@ let next_event_time t =
 let trap_count t = t.traps_total
 
 let trap_counts t =
-  Hashtbl.fold (fun name n acc -> (name, n) :: acc) t.traps_by_name []
+  Array.to_list (Array.mapi (fun i n -> (syscall_names.(i), n)) t.traps_by_kind)
+  |> List.filter (fun (_, n) -> n > 0)
   |> List.sort compare
 
 let sigsetmask_count t = t.n_sigsetmask
@@ -305,7 +344,7 @@ let signals_delivered t = t.n_delivered
 let window_trap_count t = t.n_window_traps
 
 let reset_counters t =
-  Hashtbl.reset t.traps_by_name;
+  Array.fill t.traps_by_kind 0 (Array.length t.traps_by_kind) 0;
   t.traps_total <- 0;
   t.n_sigsetmask <- 0;
   t.n_posted <- 0;

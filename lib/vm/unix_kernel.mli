@@ -62,10 +62,29 @@ val insns : t -> int -> unit
 
 (** {1 Kernel entry} *)
 
-val trap : t -> name:string -> ?extra_ns:int -> (unit -> 'a) -> 'a
-(** Enter the kernel, run the body, leave.  Charges the round-trip trap cost
-    plus [extra_ns] and counts the call under [name].  May raise
-    {!Trap_fault} when a fault hook is installed. *)
+(** The UNIX system calls the library makes, one counter each. *)
+type syscall =
+  | Getpid
+  | Sbrk
+  | Sigaction
+  | Sigsetmask
+  | Kill
+  | Sigpause
+  | Setitimer
+  | Read
+  | Aioread
+  | Write
+
+val syscall_name : syscall -> string
+(** The call's name as {!trap_counts}, {!Trap_fault} and fault plans
+    spell it (["getpid"], ["setitimer"], ...). *)
+
+val trap : t -> ?extra_ns:int -> syscall -> unit
+(** Enter the kernel for one system call; the caller performs the call's
+    effect after [trap] returns.  Charges the round-trip trap cost plus
+    [extra_ns] and counts the call under its kind (an array slot, no
+    hashing, no closure).  May raise {!Trap_fault} when a fault hook is
+    installed, in which case the call's effect must not happen. *)
 
 exception Trap_fault of string * int
 (** [Trap_fault (trap_name, errno)]: the installed fault hook decided this

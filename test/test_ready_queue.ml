@@ -15,9 +15,8 @@ let mk_tcb tid prio =
 
 let drain eng =
   let rec go acc =
-    match RQ.pop_highest eng with
-    | Some t -> go (t.tid :: acc)
-    | None -> List.rev acc
+    let t = RQ.pop_highest eng in
+    if t == nil_tcb then List.rev acc else go (t.tid :: acc)
   in
   go []
 
@@ -81,9 +80,8 @@ let test_pop_random_deterministic () =
     ignore (RQ.pop_highest eng);
     List.iter (fun i -> RQ.push_tail eng (mk_tcb i (i mod 4))) [ 1; 2; 3; 4; 5 ];
     let rec go acc =
-      match RQ.pop_random eng rng with
-      | Some t -> go (t.tid :: acc)
-      | None -> List.rev acc
+      let t = RQ.pop_random eng rng in
+      if t == nil_tcb then List.rev acc else go (t.tid :: acc)
     in
     go []
   in
@@ -92,7 +90,7 @@ let test_pop_random_deterministic () =
 let test_pop_random_empty () =
   let eng = mk_engine () in
   ignore (RQ.pop_highest eng);
-  check bool "none" true (RQ.pop_random eng (Vm.Rng.create 1) = None)
+  check bool "none" true (RQ.pop_random eng (Vm.Rng.create 1) == nil_tcb)
 
 let prop_pop_sorted =
   qcheck ~count:100 "pop_highest yields non-increasing priorities"
@@ -102,9 +100,8 @@ let prop_pop_sorted =
       ignore (RQ.pop_highest eng);
       List.iteri (fun i p -> RQ.push_tail eng (mk_tcb i p)) prios;
       let rec go last =
-        match RQ.pop_highest eng with
-        | None -> true
-        | Some t -> t.prio <= last && go t.prio
+        let t = RQ.pop_highest eng in
+        t == nil_tcb || (t.prio <= last && go t.prio)
       in
       go max_prio)
 
@@ -181,7 +178,8 @@ let run_model_trace ops ~pop =
   let record_pop real_tid model_tid =
     if real_tid <> model_tid then ok := false
   in
-  let opt_tid = function Some (t : tcb) -> t.tid | None -> -1 in
+  (* an empty queue pops [nil_tcb], whose tid is -1 *)
+  let opt_tid (t : tcb) = t.tid in
   let model_tid = function Some tid -> tid | None -> -1 in
   List.iter
     (fun (kind, idx, prio) ->
@@ -251,9 +249,7 @@ let prop_model_random =
               end
           | 3 ->
               let r =
-                match RQ.pop_random eng rng_real with
-                | Some t -> t.tid
-                | None -> -1
+                (RQ.pop_random eng rng_real).tid
               and m =
                 match Model.pop_random model rng_model with
                 | Some tid -> tid
@@ -266,7 +262,7 @@ let prop_model_random =
         ops;
       let rec drain () =
         let r =
-          match RQ.pop_random eng rng_real with Some t -> t.tid | None -> -1
+          (RQ.pop_random eng rng_real).tid
         and m =
           match Model.pop_random model rng_model with
           | Some tid -> tid
@@ -340,7 +336,7 @@ let prop_wait_queue_model =
               end
           | _ -> (
               let r =
-                match WQ.pop_highest q with Some t -> t.tid | None -> -1
+                (WQ.pop_highest q).tid
               and m =
                 match !model with
                 | (tid, _) :: rest ->
@@ -349,6 +345,86 @@ let prop_wait_queue_model =
                 | [] -> -1
               in
               if r <> m then ok := false));
+          agree ())
+        ops;
+      !ok)
+
+(* The one-level queue against a per-level list reference, over every
+   mutating operation at mixed priorities.  Priorities are drawn mostly
+   from two values so runs stay on one level for a while, drain, reuse the
+   level for another priority, and spread into buckets when a second
+   priority joins the first.  Beyond the order, the property pins the
+   representation: buckets exist exactly once two priorities were queued
+   at the same time, and a bucket level exists only for a priority that
+   was pushed. *)
+let prop_one_level_model =
+  qcheck ~count:500
+    "wait queue = per-level list model (head/tail/remove/pop/reposition)"
+    QCheck2.Gen.(
+      list_size (int_range 1 80)
+        (triple (int_range 0 4) (int_range 0 (pool_size - 1))
+           (frequency [ (4, return 9); (3, return 14); (1, int_range 0 31) ])))
+    (fun ops ->
+      let q = WQ.create () in
+      let pool = Array.init pool_size (fun i -> mk_tcb (i + 1) 0) in
+      let model = Model.create () in
+      let level_of = Array.make (pool_size + 1) 0 in
+      let spread = ref false and used = Array.make n_prios false in
+      let ok = ref true in
+      let model_push ~head t p =
+        if Array.exists (fun l -> l <> []) model
+           && not (model.(p) <> [] && Model.size model = List.length model.(p))
+        then spread := true;
+        used.(p) <- true;
+        level_of.(t.tid) <- p;
+        if head then Model.push_head model p t.tid else Model.push_tail model p t.tid
+      in
+      let agree () =
+        let real = List.map (fun (t : tcb) -> t.tid) (WQ.to_list q) in
+        let expect = List.concat (List.rev (Array.to_list model)) in
+        if real <> expect || WQ.size q <> Model.size model then ok := false;
+        let buckets = Array.length q.pq_levels > 0 in
+        if buckets <> !spread then ok := false;
+        if buckets then
+          Array.iteri
+            (fun p l -> if l != nil_level && not used.(p) then ok := false)
+            q.pq_levels;
+        let best = Model.pop_highest (Array.copy model) in
+        let expect_prio =
+          match best with Some tid -> level_of.(tid) | None -> -1
+        in
+        if WQ.highest_prio q <> expect_prio then ok := false
+      in
+      List.iter
+        (fun (kind, idx, prio) ->
+          let t = pool.(idx) in
+          let queued = t.q_in != nil_pq in
+          (match kind with
+          | 0 | 1 ->
+              if not queued then begin
+                t.prio <- prio;
+                if kind = 0 then WQ.push_tail q t else WQ.push_head q t;
+                model_push ~head:(kind = 1) t prio
+              end
+          | 2 ->
+              WQ.remove q t;
+              Model.remove model t.tid
+          | 3 ->
+              (* a queued waiter's priority changes: a rising thread goes
+                 to the tail of its new level, a falling one to the head *)
+              if queued && t.prio <> prio then begin
+                let old_prio = t.prio in
+                t.prio <- prio;
+                WQ.reposition q t ~old_prio;
+                Model.remove model t.tid;
+                model_push ~head:(prio < old_prio) t prio
+              end
+          | _ ->
+              let r = (WQ.pop_highest q).tid in
+              let m =
+                match Model.pop_highest model with Some tid -> tid | None -> -1
+              in
+              if r <> m then ok := false);
           agree ())
         ops;
       !ok)
@@ -369,5 +445,6 @@ let suite =
         prop_model_fifo;
         prop_model_random;
         prop_wait_queue_model;
+        prop_one_level_model;
       ] );
   ]

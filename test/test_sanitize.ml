@@ -117,6 +117,31 @@ let test_san_round_trip () =
       check string "round trip" s (Report.to_string r');
       check int "count" 4 (Report.count r')
 
+(* A name with a line break must not split its record across lines: the
+   writer folds it like any other separator, so the file still parses. *)
+let test_san_newline_name () =
+  let r =
+    {
+      Report.empty with
+      leaks =
+        [
+          {
+            Report.lk_key = "mutex:1";
+            lk_name = "m\r\n1";
+            lk_tid = 2;
+            lk_tname = "a\nb";
+            lk_time = 7;
+          };
+        ];
+    }
+  in
+  let s = Report.to_string r in
+  match Report.of_string s with
+  | Error e -> Alcotest.failf "of_string failed: %s" e
+  | Ok r' ->
+      check string "round trip" s (Report.to_string r');
+      check int "one leak" 1 (List.length r'.Report.leaks)
+
 let test_san_rejects_garbage () =
   (match Report.of_string "not a report\n" with
   | Ok _ -> Alcotest.fail "bad header accepted"
@@ -466,6 +491,7 @@ let suite =
         tc "vclock basics" test_vclock_basics;
         tc "vclock join/leq" test_vclock_join_leq;
         tc ".san round trip" test_san_round_trip;
+        tc ".san names with line breaks" test_san_newline_name;
         tc ".san rejects garbage" test_san_rejects_garbage;
         tc "empty report" test_empty_report;
         tc "racy counter flagged" test_racy_counter_flagged;

@@ -79,6 +79,22 @@ let test_cost_insns_linear () =
   let p = Cost_model.sparc_ipx in
   check int "linear" (3 * Cost_model.insns p 7) (Cost_model.insns p 21)
 
+(* The Unix backend's clock is synchronized from [Real_clock]: a wall
+   clock stepping backward would freeze it (Clock.advance_to never goes
+   back) and stall every timed wait, so the reading must be monotonic. *)
+let test_real_clock_monotonic () =
+  let prev = ref (Vm.Real_clock.now_ns ()) in
+  for _ = 1 to 100_000 do
+    let t = Vm.Real_clock.now_ns () in
+    if t < !prev then Alcotest.failf "clock went back: %d after %d" t !prev;
+    prev := t
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Vm.Real_clock.now_ns () : int)
+  done;
+  check (Alcotest.float 0.) "reads allocate nothing" 0. (Gc.minor_words () -. before)
+
 let suite =
   [
     ( "vm.rng",
@@ -96,6 +112,7 @@ let suite =
         tc "basic" test_clock_basic;
         tc "advance_to" test_clock_advance_to;
         tc "units" test_clock_units;
+        tc "real clock never decreases" test_real_clock_monotonic;
       ] );
     ( "vm.cost_model",
       [ tc "profiles" test_cost_profiles; tc "insns linear" test_cost_insns_linear ]

@@ -23,17 +23,23 @@ if grep -rn --include='*.ml' --include='*.mli' 'Obj\.magic' lib/ >&2; then
   fail=1
 fi
 
-# 3. No polymorphic comparison on TCBs.  The queue sentinels close the
-#    TCB graph into cycles, so structural (=)/(<>) against them loops or
-#    lies; the queues are defined over physical identity (==)/(!=).
-#    Record-field initializers ("q_next = nil_tcb;") are the one legal
-#    structural-looking form and are filtered out.
-hits=$(grep -rnE --include='*.ml' '(=|<>)[[:space:]]*(nil_tcb|nil_pq)' lib/pthreads/ |
-  grep -vE '=[[:space:]]*(nil_tcb|nil_pq)[[:space:]]*([;}].*)?$' |
-  grep -vE '(==|!=)[[:space:]]*(nil_tcb|nil_pq)')
+# 3. No polymorphic comparison on TCBs, queues, queue levels or mutexes.
+#    The sentinels (nil_tcb, nil_pq, nil_level, nil_mutex) close the TCB
+#    graph into cycles, so structural (=)/(<>) against them loops or lies;
+#    the links are defined over physical identity (==)/(!=).  Physical
+#    compares and field initializers ("q_next = nil_tcb" at the start of a
+#    line or after "{", ";", "let" or "and") are blanked out first; any
+#    "=" or "<>" left in front of a sentinel is a structural compare, also
+#    behind a module path ("Types.nil_pq") or at the end of a line.
+nils='([A-Z][A-Za-z_]*\.)*(nil_tcb|nil_pq|nil_level|nil_mutex)\b'
+field="([A-Z][A-Za-z_]*\.)*[a-z_][A-Za-z0-9_']*"
+hits=$(grep -rnE --include='*.ml' "$nils" lib/ |
+  sed -E -e "s/(==|!=)[[:space:]]*$nils/ /g" \
+    -e "s/(^[^:]*:[0-9]+:|[{;]|\blet|\band)[[:space:]]*$field[[:space:]]*=[[:space:]]*$nils/\1 /g" |
+  grep -E "(=|<>)[[:space:]]*$nils" | cut -d: -f1,2)
 if [ -n "$hits" ]; then
   printf '%s\n' "$hits" >&2
-  echo "lint: structural compare against nil_tcb/nil_pq in lib/pthreads — use (==)/(!=)" >&2
+  echo "lint: structural compare against a queue/owner sentinel in lib/ — use (==)/(!=)" >&2
   fail=1
 fi
 
